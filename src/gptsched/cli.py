@@ -24,19 +24,13 @@ from typing import List, Optional, Sequence, Tuple
 
 from .config import ExperimentConfig, default_config, load_cluster_config
 from .metrics import Report
-from .model import GptSchedError, Node, Threshold
-from .reportio import (
-    canonical_json,
-    write_comparison,
-    write_outcome_document,
-    write_report,
-)
+from .model import GptSchedError, Threshold
+from .reportio import write_comparison, write_outcome_document, write_report
+from .scheduling import ALGORITHMS
 from .simulator import run_batch, run_timeline
 from .workload import generate_synthetic, load_trace, write_trace
 
 logger = logging.getLogger(__name__)
-
-_ALGORITHM_NAMES = ("max-util", "load-balance", "power")
 
 
 def _configure_logging() -> None:
@@ -56,7 +50,7 @@ def _add_common_flags(parser: argparse.ArgumentParser, *, algorithm: bool) -> No
     parser.add_argument("--config", help="experiment config path (JSON)")
     if algorithm:
         parser.add_argument(
-            "--algorithm", required=True, choices=_ALGORITHM_NAMES, help="scheduling algorithm"
+            "--algorithm", required=True, choices=tuple(ALGORITHMS), help="scheduling algorithm"
         )
     parser.add_argument("--threshold", type=float, help="override scheduler threshold (0, 1]")
     parser.add_argument(
@@ -174,32 +168,15 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     return 3 if result.report.unallocated_count else 0
 
 
-def _nodes_fingerprint(nodes: Sequence[Node]) -> str:
-    doc = [
-        {
-            "id": node.id,
-            "capacity": [node.capacity.compute, node.capacity.memory_gib, node.capacity.storage_gib],
-            "p_idle_w": node.template.p_idle_w,
-            "p_max_w": node.template.p_max_w,
-            "utilization": list(node.utilization.as_tuple()),
-            "allocated": sorted(node.allocated),
-        }
-        for node in nodes
-    ]
-    return canonical_json(doc)
-
-
 def cmd_compare(args: argparse.Namespace) -> int:
     config = _load_config(args)
     workload = load_trace(args.workload)
-    baseline = _nodes_fingerprint(config.fresh_nodes())
     results: List[Tuple[str, Report]] = []
     worst = 0
-    for name in _ALGORITHM_NAMES:
-        nodes = config.fresh_nodes()
-        if _nodes_fingerprint(nodes) != baseline:
-            raise GptSchedError("initial cluster states diverged between comparison runs")
-        _, report = run_batch(workload, nodes, name, config.scheduler, coeffs=config.coefficients)
+    for name in ALGORITHMS:
+        _, report = run_batch(
+            workload, config.fresh_nodes(), name, config.scheduler, coeffs=config.coefficients
+        )
         results.append((name, report))
         if report.unallocated_count:
             worst = 3

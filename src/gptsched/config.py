@@ -39,8 +39,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from pathlib import Path
-from typing import IO, Dict, List, Optional, Tuple, Union
+from typing import Dict, List, Optional, Tuple
 
 from .model import (
     ConfigError,
@@ -55,9 +54,7 @@ from .power import PowerMode, PowerPolicy
 from .profiler import ProfilerCoefficients
 from .scheduling import SchedulerConfig
 from .simulator import AdaptorPolicy
-from .workload import GeneratorSpec, LognormalSpec
-
-Source = Union[str, Path, IO[str]]
+from .workload import GeneratorSpec, LognormalSpec, TextStream, open_text
 
 DEFAULT_CAPACITY = ResourceVector(compute=1000.0, memory_gib=512.0, storage_gib=2000.0)
 DEFAULT_TEMPLATE = NodeTemplate(capacity=DEFAULT_CAPACITY, p_idle_w=100.0, p_max_w=400.0)
@@ -389,18 +386,15 @@ def default_config() -> ExperimentConfig:
     return parse_config({})
 
 
-def load_cluster_config(source: Source) -> ExperimentConfig:
+def load_cluster_config(source: TextStream) -> ExperimentConfig:
     """Read and validate a JSON config from a path or text stream.
 
     Raises ConfigError for unreadable JSON, unknown keys or any field
     constraint violation; the message names the offending field path.
     """
 
-    if isinstance(source, (str, Path)):
-        with open(source, "r", encoding="utf-8") as stream:
-            text = stream.read()
-    else:
-        text = source.read()
+    with open_text(source, "r") as stream:
+        text = stream.read()
     try:
         document = json.loads(text)
     except json.JSONDecodeError as exc:

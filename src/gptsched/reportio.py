@@ -29,15 +29,13 @@ import csv
 import io
 import json
 import math
-from pathlib import Path
-from typing import IO, Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from .metrics import Report
 from .model import ValidationError
 from .scheduling import AllocationOutcome, DecisionRecord
 from .simulator import SnapshotRow
-
-Sink = Union[str, Path, IO[str]]
+from .workload import TextStream, open_text
 
 REPORT_CSV_COLUMNS = (
     "mean_compute_utilization",
@@ -161,19 +159,9 @@ def outcome_to_dict(outcome: AllocationOutcome) -> Dict[str, object]:
     }
 
 
-def _open_sink(sink: Sink) -> Tuple[IO[str], bool]:
-    if isinstance(sink, (str, Path)):
-        return open(sink, "w", encoding="utf-8", newline=""), True
-    return sink, False
-
-
-def _write_text(text: str, sink: Sink) -> None:
-    stream, owned = _open_sink(sink)
-    try:
+def _write_text(text: str, sink: TextStream) -> None:
+    with open_text(sink, "w") as stream:
         stream.write(text)
-    finally:
-        if owned:
-            stream.close()
 
 
 def _cell(value: object) -> str:
@@ -217,7 +205,7 @@ def report_csv_row(report: Report) -> List[object]:
 def write_report(
     payload: Union[Report, Sequence[SnapshotRow]],
     fmt: str,
-    sink: Sink,
+    sink: TextStream,
     *,
     algorithm: Optional[str] = None,
 ) -> None:
@@ -272,7 +260,7 @@ def write_report(
 
 
 def write_outcome_document(
-    algorithm: str, outcome: AllocationOutcome, report: Report, sink: Sink
+    algorithm: str, outcome: AllocationOutcome, report: Report, sink: TextStream
 ) -> None:
     """One canonical JSON document holding an outcome and its report."""
 
@@ -298,7 +286,7 @@ def comparison_rows(named_reports: Sequence[Tuple[str, Report]]) -> List[List[ob
     ]
 
 
-def write_comparison(named_reports: Sequence[Tuple[str, Report]], fmt: str, sink: Sink) -> None:
+def write_comparison(named_reports: Sequence[Tuple[str, Report]], fmt: str, sink: TextStream) -> None:
     """Three-row (or n-row) comparison table, CSV or canonical JSON."""
 
     if fmt not in ("json", "csv"):

@@ -27,22 +27,28 @@ feasibility allows TOLERANCE slack per axis.
 
 When no node fits, a node is created from the configured autoscale
 template when one is set and the request fits a fresh node; otherwise the
-request is rejected with a reason string. The passed node list is updated
-in place (entries replaced with their post-allocation values, created
-nodes appended) so callers observe the resulting cluster state.
+request is rejected with a reason string.
+
+Placement works on a ClusterState, the one mutable cluster state. A
+passed node list is converted on entry and updated in place once at the
+end (entries replaced with their post-allocation values, created nodes
+appended) so callers observe the resulting cluster state; the timeline
+passes its own ClusterState, which is placed into directly.
 """
 
 from __future__ import annotations
 
 import bisect
 from dataclasses import dataclass
-from typing import Callable, Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from functools import partial
+from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple, Union
 
 from .model import (
     TOLERANCE,
     GptRequest,
     Node,
     NodeTemplate,
+    NotAllocatedError,
     ResourceVector,
     Threshold,
     UtilizationVector,
@@ -149,26 +155,81 @@ def create_new_node(template: NodeTemplate, id_sequence: NodeIdSequence) -> Node
     return Node(id=id_sequence.next_id(), template=template)
 
 
-class _Cluster:
-    """Parallel-array view of a node list for the hot allocation loops."""
+class ClusterState(Sequence[Node]):
+    """The one mutable cluster state, as parallel per-node arrays.
 
-    __slots__ = ("ids", "templates", "uc", "um", "us", "cc", "cm", "cs", "pidle", "pmax", "alloc")
+    The arrays are in node-list order. Beside each node's utilization,
+    capacity, power envelope and allocated ids, the state keeps an
+    id -> index map, each node's current draw (power.node_power's
+    expression under the state's policy, repriced wherever utilization or
+    emptiness changes) and the set of every held request id. Schedulers
+    place into it directly; the timeline also releases and removes in
+    place.
 
-    def __init__(self, nodes: Sequence[Node]) -> None:
-        self.ids = [n.id for n in nodes]
-        self.templates = [n.template for n in nodes]
-        self.uc = [n.utilization.compute for n in nodes]
-        self.um = [n.utilization.memory for n in nodes]
-        self.us = [n.utilization.storage for n in nodes]
-        self.cc = [n.capacity.compute for n in nodes]
-        self.cm = [n.capacity.memory_gib for n in nodes]
-        self.cs = [n.capacity.storage_gib for n in nodes]
-        self.pidle = [n.template.p_idle_w for n in nodes]
-        self.pmax = [n.template.p_max_w for n in nodes]
-        self.alloc = [set(n.allocated) for n in nodes]
+    As a Sequence it is a live, read-only view of the nodes: len() costs
+    O(1), and a Node value is built only when an entry is indexed or
+    iterated.
+    """
+
+    __slots__ = (
+        "policy", "ids", "index", "templates", "uc", "um", "us", "cc", "cm", "cs",
+        "pidle", "pmax", "alloc", "power", "held",
+    )
+
+    def __init__(self, nodes: Sequence[Node], policy: PowerPolicy = DEFAULT_POWER_POLICY) -> None:
+        validate_unique_ids((n.id for n in nodes), "node")
+        self.policy = policy
+        self.ids: List[str] = []
+        self.index: Dict[str, int] = {}
+        self.templates: List[NodeTemplate] = []
+        self.uc: List[float] = []
+        self.um: List[float] = []
+        self.us: List[float] = []
+        self.cc: List[float] = []
+        self.cm: List[float] = []
+        self.cs: List[float] = []
+        self.pidle: List[float] = []
+        self.pmax: List[float] = []
+        self.alloc: List[Set[str]] = []
+        self.power: List[float] = []
+        self.held: Set[str] = set()
+        for node in nodes:
+            i = self.add_node(node.id, node.template)
+            self.uc[i], self.um[i], self.us[i] = node.utilization.as_tuple()
+            self.alloc[i].update(node.allocated)
+            self.held.update(node.allocated)
+            self._price(i)
+
+    def __len__(self) -> int:
+        return len(self.ids)
+
+    def __getitem__(self, index):  # type: ignore[no-untyped-def]
+        if isinstance(index, slice):
+            return [self._node(i) for i in range(len(self.ids))[index]]
+        return self._node(range(len(self.ids))[index])
+
+    def __iter__(self) -> Iterator[Node]:
+        return map(self._node, range(len(self.ids)))
+
+    def _node(self, i: int) -> Node:
+        return Node(
+            id=self.ids[i],
+            template=self.templates[i],
+            utilization=UtilizationVector(self.uc[i], self.um[i], self.us[i]),
+            allocated=frozenset(self.alloc[i]),
+        )
+
+    def _price(self, i: int) -> None:
+        if self.policy.off_when_empty and not self.alloc[i]:
+            self.power[i] = 0.0
+        else:
+            self.power[i] = self.pidle[i] + (self.pmax[i] - self.pidle[i]) * self.uc[i]
 
     def add_node(self, node_id: str, template: NodeTemplate) -> int:
+        """Append an empty node; returns its index."""
+
         cap = template.capacity
+        self.index[node_id] = len(self.ids)
         self.ids.append(node_id)
         self.templates.append(template)
         self.uc.append(0.0)
@@ -180,29 +241,199 @@ class _Cluster:
         self.pidle.append(template.p_idle_w)
         self.pmax.append(template.p_max_w)
         self.alloc.append(set())
+        self.power.append(0.0)
+        self._price(len(self.ids) - 1)
         return len(self.ids) - 1
 
-    def write_back(self, nodes: List[Node]) -> None:
-        nodes[:] = [
-            Node(
-                id=self.ids[i],
-                template=self.templates[i],
-                utilization=UtilizationVector(self.uc[i], self.um[i], self.us[i]),
-                allocated=frozenset(self.alloc[i]),
-            )
-            for i in range(len(self.ids))
-        ]
+    def allocate(self, i: int, request_id: str, demand: ResourceVector) -> UtilizationVector:
+        """Place a demand on node i; returns it as percentages of the node."""
+
+        pct = UtilizationVector(
+            demand.compute / self.cc[i], demand.memory_gib / self.cm[i], demand.storage_gib / self.cs[i]
+        )
+        self.uc[i] += pct.compute
+        self.um[i] += pct.memory
+        self.us[i] += pct.storage
+        self.alloc[i].add(request_id)
+        self.held.add(request_id)
+        self._price(i)
+        return pct
+
+    def release(self, node_id: str, request_id: str, pct: UtilizationVector) -> bool:
+        """model.release_from_node in place, with the same arithmetic and
+        errors; returns whether the node is now empty."""
+
+        i = self.index[node_id]
+        alloc = self.alloc[i]
+        if request_id not in alloc:
+            raise NotAllocatedError(f"request {request_id!r} not allocated on {node_id!r}")
+        alloc.remove(request_id)
+        self.held.discard(request_id)
+        if alloc:
+            self.uc[i] = max(0.0, self.uc[i] - pct.compute)
+            self.um[i] = max(0.0, self.um[i] - pct.memory)
+            self.us[i] = max(0.0, self.us[i] - pct.storage)
+        else:
+            self.uc[i] = self.um[i] = self.us[i] = 0.0
+        self._price(i)
+        return not alloc
+
+    def remove(self, node_id: str) -> None:
+        """Delete a node from every array, keeping the order of the rest."""
+
+        i = self.index[node_id]
+        self.held.difference_update(self.alloc[i])
+        for column in (
+            self.ids, self.templates, self.uc, self.um, self.us, self.cc, self.cm, self.cs,
+            self.pidle, self.pmax, self.alloc, self.power,
+        ):
+            del column[i]
+        self.index = {nid: j for j, nid in enumerate(self.ids)}
 
 
-def _validate_inputs(queue: Sequence[GptRequest], nodes: Sequence[Node]) -> None:
-    validate_unique_ids((n.id for n in nodes), "node")
+# What a scan returns: the chosen index or -1, the scanned node ids and the
+# power estimates of the candidates.
+_Pick = Tuple[int, Tuple[str, ...], Tuple[Tuple[str, float], ...]]
+
+
+class _FirstFit:
+    """Scan order and choice rule of the two threshold schedulers."""
+
+    def __init__(self, state: ClusterState, config: SchedulerConfig, descending: bool) -> None:
+        ids, uc = state.ids, state.uc
+        if descending:
+            self.key: Callable[[int], Tuple[float, str]] = lambda i: (-uc[i], ids[i])
+        else:
+            self.key = lambda i: (uc[i], ids[i])
+        self.state = state
+        self.order = sorted(range(len(ids)), key=self.key)
+        self.limit = config.threshold.value + TOLERANCE
+        self.resort = config.resort_after_each_allocation
+        self.dirty = False
+
+    def pick(self, dc: float, dm: float, ds: float) -> _Pick:
+        order, limit = self.order, self.limit
+        if self.resort and self.dirty:
+            order.sort(key=self.key)
+            self.dirty = False
+        state = self.state
+        ids, uc, um, us = state.ids, state.uc, state.um, state.us
+        cc, cm, cs = state.cc, state.cm, state.cs
+        for pos, i in enumerate(order):
+            if (
+                uc[i] + dc / cc[i] <= limit
+                and um[i] + dm / cm[i] <= limit
+                and us[i] + ds / cs[i] <= limit
+            ):
+                self.dirty = True
+                return i, tuple(ids[j] for j in order[: pos + 1]), ()
+        return -1, tuple(ids[j] for j in order), ()
+
+    def created(self, i: int) -> None:
+        self.order.append(i)
+        self.dirty = True
+
+
+class _MinPowerDelta:
+    """Scan order and choice rule of the power scheduler."""
+
+    def __init__(self, state: ClusterState, config: SchedulerConfig) -> None:
+        self.state = state
+        self.absolute = config.power_policy.mode is PowerMode.ABSOLUTE_AFTER
+        self.limit = 1.0 + TOLERANCE
+        self.id_order: List[Tuple[str, int]] = sorted((nid, i) for i, nid in enumerate(state.ids))
+        # The scan covers every node, so the scanned tuple only changes when
+        # a node is created; share one tuple between creations.
+        self.scanned: Optional[Tuple[str, ...]] = None
+
+    def pick(self, dc: float, dm: float, ds: float) -> _Pick:
+        state, limit, absolute = self.state, self.limit, self.absolute
+        uc, um, us = state.uc, state.um, state.us
+        cc, cm, cs = state.cc, state.cm, state.cs
+        pidle, pmax, power = state.pidle, state.pmax, state.power
+        best = -1
+        best_delta = float("inf")
+        estimates: List[Tuple[str, float]] = []
+        for node_id, i in self.id_order:
+            if (
+                uc[i] + dc / cc[i] > limit
+                or um[i] + dm / cm[i] > limit
+                or us[i] + ds / cs[i] > limit
+            ):
+                continue
+            after = pidle[i] + (pmax[i] - pidle[i]) * (uc[i] + dc / cc[i])
+            # power[i] is the node's draw before the allocation: 0 W when
+            # the policy powers an empty node off.
+            delta = after if absolute else after - power[i]
+            estimates.append((node_id, delta))
+            if delta < best_delta:
+                best_delta = delta
+                best = i
+        if self.scanned is None:
+            self.scanned = tuple(entry[0] for entry in self.id_order)
+        return best, self.scanned, tuple(estimates)
+
+    def created(self, i: int) -> None:
+        bisect.insort(self.id_order, (self.state.ids[i], i))
+        self.scanned = None
+
+
+def _schedule(
+    queue: Sequence[GptRequest],
+    nodes: Union[List[Node], ClusterState],
+    config: SchedulerConfig,
+    coeffs: ProfilerCoefficients,
+    id_sequence: Optional[NodeIdSequence],
+    make_scan: Callable[[ClusterState, SchedulerConfig], Union[_FirstFit, _MinPowerDelta]],
+) -> AllocationOutcome:
+    """The placement skeleton shared by the three schedulers.
+
+    A node list is converted to a ClusterState on entry and written back
+    once at the end; a ClusterState (priced with config.power_policy) is
+    placed into directly.
+    """
+
+    state = nodes if isinstance(nodes, ClusterState) else ClusterState(nodes, config.power_policy)
     validate_unique_ids((r.id for r in queue), "request")
-    existing: Set[str] = set()
-    for node in nodes:
-        existing |= node.allocated
     for request in queue:
-        if request.id in existing:
+        if request.id in state.held:
             raise ValidationError(f"request {request.id!r} is already allocated on a node")
+    demands, ordered = _resolve_and_order(queue, coeffs)
+    seq = id_sequence if id_sequence is not None else NodeIdSequence()
+    seq.reserve(state.ids)
+    scan = make_scan(state, config)
+    template = config.autoscale_template
+
+    allocation: Dict[str, str] = {}
+    unallocated: List[str] = []
+    created: List[str] = []
+    trace: List[DecisionRecord] = []
+
+    for request in ordered:
+        demand = demands[request.id]
+        dc, dm, ds = demand.compute, demand.memory_gib, demand.storage_gib
+        chosen, scanned, estimates = scan.pick(dc, dm, ds)
+        fresh = False
+        if chosen < 0 and template is not None:
+            cap, limit = template.capacity, scan.limit
+            if dc / cap.compute <= limit and dm / cap.memory_gib <= limit and ds / cap.storage_gib <= limit:
+                chosen = state.add_node(seq.next_id(), template)
+                scan.created(chosen)
+                created.append(state.ids[chosen])
+                fresh = True
+        if chosen < 0:
+            reason = REASON_NO_FEASIBLE_NODE if template is None else REASON_INFEASIBLE_ON_ANY_NODE
+            unallocated.append(request.id)
+            trace.append(DecisionRecord(request.id, demand, scanned, None, None, False, reason))
+            continue
+        pct = state.allocate(chosen, request.id, demand)
+        node_id = state.ids[chosen]
+        allocation[request.id] = node_id
+        trace.append(DecisionRecord(request.id, demand, scanned, node_id, pct, fresh, None, estimates))
+
+    if state is not nodes:
+        nodes[:] = state
+    return AllocationOutcome(allocation, tuple(unallocated), tuple(created), tuple(trace))
 
 
 def _resolve_and_order(
@@ -213,103 +444,9 @@ def _resolve_and_order(
     return demands, ordered
 
 
-def _schedule_threshold(
-    queue: Sequence[GptRequest],
-    nodes: List[Node],
-    config: SchedulerConfig,
-    coeffs: ProfilerCoefficients,
-    id_sequence: Optional[NodeIdSequence],
-    descending: bool,
-) -> AllocationOutcome:
-    _validate_inputs(queue, nodes)
-    demands, ordered = _resolve_and_order(queue, coeffs)
-    cl = _Cluster(nodes)
-    seq = id_sequence if id_sequence is not None else NodeIdSequence()
-    seq.reserve(cl.ids)
-
-    ids, uc, um, us = cl.ids, cl.uc, cl.um, cl.us
-    cc, cm, cs = cl.cc, cl.cm, cl.cs
-    limit = config.threshold.value + TOLERANCE
-    template = config.autoscale_template
-    resort = config.resort_after_each_allocation
-
-    if descending:
-        key = lambda i: (-uc[i], ids[i])
-    else:
-        key = lambda i: (uc[i], ids[i])
-    order = sorted(range(len(ids)), key=key)
-
-    allocation: Dict[str, str] = {}
-    unallocated: List[str] = []
-    created: List[str] = []
-    trace: List[DecisionRecord] = []
-    dirty = False
-
-    for request in ordered:
-        if resort and dirty:
-            order.sort(key=key)
-            dirty = False
-        demand = demands[request.id]
-        dc, dm, ds = demand.compute, demand.memory_gib, demand.storage_gib
-        chosen = -1
-        pos = -1
-        for pos, i in enumerate(order):
-            if (
-                uc[i] + dc / cc[i] <= limit
-                and um[i] + dm / cm[i] <= limit
-                and us[i] + ds / cs[i] <= limit
-            ):
-                chosen = i
-                break
-        if chosen >= 0:
-            scanned = tuple(ids[j] for j in order[: pos + 1])
-            pct = UtilizationVector(dc / cc[chosen], dm / cm[chosen], ds / cs[chosen])
-            uc[chosen] += pct.compute
-            um[chosen] += pct.memory
-            us[chosen] += pct.storage
-            cl.alloc[chosen].add(request.id)
-            allocation[request.id] = ids[chosen]
-            dirty = True
-            trace.append(DecisionRecord(request.id, demand, scanned, ids[chosen], pct))
-            continue
-
-        scanned = tuple(ids[j] for j in order)
-        if template is None:
-            unallocated.append(request.id)
-            trace.append(
-                DecisionRecord(request.id, demand, scanned, None, None, False, REASON_NO_FEASIBLE_NODE)
-            )
-            continue
-        cap = template.capacity
-        pc, pm, ps = dc / cap.compute, dm / cap.memory_gib, ds / cap.storage_gib
-        if pc <= limit and pm <= limit and ps <= limit:
-            new_id = seq.next_id()
-            i = cl.add_node(new_id, template)
-            order.append(i)
-            pct = UtilizationVector(pc, pm, ps)
-            uc[i] = pct.compute
-            um[i] = pct.memory
-            us[i] = pct.storage
-            cl.alloc[i].add(request.id)
-            created.append(new_id)
-            allocation[request.id] = new_id
-            dirty = True
-            trace.append(DecisionRecord(request.id, demand, scanned, new_id, pct, True))
-        else:
-            unallocated.append(request.id)
-            trace.append(
-                DecisionRecord(
-                    request.id, demand, scanned, None, None, False, REASON_INFEASIBLE_ON_ANY_NODE
-                )
-            )
-
-    cl.write_back(nodes)
-    return AllocationOutcome(allocation, tuple(unallocated), tuple(created), tuple(trace))
-
-
 def schedule_max_util(
     queue: Sequence[GptRequest],
-    nodes: List[Node],
+    nodes: Union[List[Node], ClusterState],
     config: SchedulerConfig,
     *,
     coeffs: ProfilerCoefficients = DEFAULT_COEFFICIENTS,
@@ -324,12 +461,12 @@ def schedule_max_util(
     an explicit demand nor a model size. Mutates nodes in place.
     """
 
-    return _schedule_threshold(queue, nodes, config, coeffs, id_sequence, descending=True)
+    return _schedule(queue, nodes, config, coeffs, id_sequence, partial(_FirstFit, descending=True))
 
 
 def schedule_load_balance(
     queue: Sequence[GptRequest],
-    nodes: List[Node],
+    nodes: Union[List[Node], ClusterState],
     config: SchedulerConfig,
     *,
     coeffs: ProfilerCoefficients = DEFAULT_COEFFICIENTS,
@@ -341,12 +478,12 @@ def schedule_load_balance(
     (ascending compute utilization, ties by ascending id).
     """
 
-    return _schedule_threshold(queue, nodes, config, coeffs, id_sequence, descending=False)
+    return _schedule(queue, nodes, config, coeffs, id_sequence, partial(_FirstFit, descending=False))
 
 
 def schedule_power_efficient(
     queue: Sequence[GptRequest],
-    nodes: List[Node],
+    nodes: Union[List[Node], ClusterState],
     config: SchedulerConfig,
     *,
     coeffs: ProfilerCoefficients = DEFAULT_COEFFICIENTS,
@@ -366,103 +503,7 @@ def schedule_power_efficient(
     per-candidate power estimates. Mutates nodes in place.
     """
 
-    _validate_inputs(queue, nodes)
-    demands, ordered = _resolve_and_order(queue, coeffs)
-    cl = _Cluster(nodes)
-    seq = id_sequence if id_sequence is not None else NodeIdSequence()
-    seq.reserve(cl.ids)
-
-    ids, uc, um, us = cl.ids, cl.uc, cl.um, cl.us
-    cc, cm, cs = cl.cc, cl.cm, cl.cs
-    pidle, pmax, alloc = cl.pidle, cl.pmax, cl.alloc
-    policy = config.power_policy
-    absolute = policy.mode is PowerMode.ABSOLUTE_AFTER
-    off_empty = policy.off_when_empty
-    cap_limit = 1.0 + TOLERANCE
-    template = config.autoscale_template
-
-    id_order: List[Tuple[str, int]] = sorted((ids[i], i) for i in range(len(ids)))
-    # The scan covers every node, so the scanned tuple only changes when a
-    # node is created; share one tuple between creations.
-    scanned_cache: Optional[Tuple[str, ...]] = None
-
-    allocation: Dict[str, str] = {}
-    unallocated: List[str] = []
-    created: List[str] = []
-    trace: List[DecisionRecord] = []
-
-    for request in ordered:
-        demand = demands[request.id]
-        dc, dm, ds = demand.compute, demand.memory_gib, demand.storage_gib
-        best = -1
-        best_delta = float("inf")
-        estimates: List[Tuple[str, float]] = []
-        for node_id, i in id_order:
-            if (
-                uc[i] + dc / cc[i] > cap_limit
-                or um[i] + dm / cm[i] > cap_limit
-                or us[i] + ds / cs[i] > cap_limit
-            ):
-                continue
-            slope = pmax[i] - pidle[i]
-            after = pidle[i] + slope * (uc[i] + dc / cc[i])
-            if absolute:
-                delta = after
-            elif off_empty and not alloc[i]:
-                delta = after
-            else:
-                delta = after - (pidle[i] + slope * uc[i])
-            estimates.append((node_id, delta))
-            if delta < best_delta:
-                best_delta = delta
-                best = i
-        if scanned_cache is None:
-            scanned_cache = tuple(entry[0] for entry in id_order)
-        scanned = scanned_cache
-        if best >= 0:
-            pct = UtilizationVector(dc / cc[best], dm / cm[best], ds / cs[best])
-            uc[best] += pct.compute
-            um[best] += pct.memory
-            us[best] += pct.storage
-            alloc[best].add(request.id)
-            allocation[request.id] = ids[best]
-            trace.append(
-                DecisionRecord(
-                    request.id, demand, scanned, ids[best], pct, False, None, tuple(estimates)
-                )
-            )
-            continue
-        if template is None:
-            unallocated.append(request.id)
-            trace.append(
-                DecisionRecord(request.id, demand, scanned, None, None, False, REASON_NO_FEASIBLE_NODE)
-            )
-            continue
-        cap = template.capacity
-        pc, pm, ps = dc / cap.compute, dm / cap.memory_gib, ds / cap.storage_gib
-        if pc <= cap_limit and pm <= cap_limit and ps <= cap_limit:
-            new_id = seq.next_id()
-            i = cl.add_node(new_id, template)
-            bisect.insort(id_order, (new_id, i))
-            scanned_cache = None
-            pct = UtilizationVector(pc, pm, ps)
-            uc[i] = pct.compute
-            um[i] = pct.memory
-            us[i] = pct.storage
-            alloc[i].add(request.id)
-            created.append(new_id)
-            allocation[request.id] = new_id
-            trace.append(DecisionRecord(request.id, demand, scanned, new_id, pct, True))
-        else:
-            unallocated.append(request.id)
-            trace.append(
-                DecisionRecord(
-                    request.id, demand, scanned, None, None, False, REASON_INFEASIBLE_ON_ANY_NODE
-                )
-            )
-
-    cl.write_back(nodes)
-    return AllocationOutcome(allocation, tuple(unallocated), tuple(created), tuple(trace))
+    return _schedule(queue, nodes, config, coeffs, id_sequence, _MinPowerDelta)
 
 
 ALGORITHMS: Dict[str, Callable[..., AllocationOutcome]] = {

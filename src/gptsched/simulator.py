@@ -9,6 +9,12 @@ utilization and power on a fixed grid. Total power is integrated exactly
 over the piecewise-constant segments between events and reported as
 energy_wh.
 
+A timeline run keeps one scheduling.ClusterState throughout: arrivals
+place into it, departures release in place, scale-down deletes from it,
+and total power and snapshot rows read its per-node arrays. Node values
+are built only for the final report and for on_event, which gets the
+state itself as a live read-only Sequence[Node].
+
 Event ordering at equal times is departure, then arrival, then snapshot,
 then scale-down check, with ties inside a kind broken by ascending
 request or node id. The simulation horizon is the time of the last
@@ -20,23 +26,24 @@ from __future__ import annotations
 
 import heapq
 import logging
+import math
 from dataclasses import dataclass
 from enum import Enum
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from .metrics import Report, build_report
-from .model import (
-    ConfigError,
-    GptRequest,
-    Node,
-    UtilizationVector,
-    ValidationError,
-    release_from_node,
-    validate_unique_ids,
-)
-from .power import node_power, total_power
+from .model import ConfigError, GptRequest, Node, UtilizationVector, ValidationError, validate_unique_ids
+from .model import release_from_node  # noqa: F401  re-exported; the timeline uses ClusterState
+from .power import node_power, total_power  # noqa: F401  re-exported, likewise
 from .profiler import DEFAULT_COEFFICIENTS, ProfilerCoefficients
-from .scheduling import ALGORITHMS, AllocationOutcome, DecisionRecord, NodeIdSequence, SchedulerConfig
+from .scheduling import (
+    ALGORITHMS,
+    AllocationOutcome,
+    ClusterState,
+    DecisionRecord,
+    NodeIdSequence,
+    SchedulerConfig,
+)
 
 logger = logging.getLogger(__name__)
 
@@ -120,6 +127,13 @@ class TimelineResult:
     power_steps: Tuple[Tuple[float, float], ...]
 
 
+def _scheduler(algorithm_id: str) -> Callable[..., AllocationOutcome]:
+    scheduler = ALGORITHMS.get(algorithm_id)
+    if scheduler is None:
+        raise ConfigError(f"unknown algorithm {algorithm_id!r}; choose from {sorted(ALGORITHMS)}")
+    return scheduler
+
+
 def run_batch(
     workload: Sequence[GptRequest],
     nodes: List[Node],
@@ -134,10 +148,7 @@ def run_batch(
     ConfigError for an unknown algorithm_id.
     """
 
-    scheduler = ALGORITHMS.get(algorithm_id)
-    if scheduler is None:
-        raise ConfigError(f"unknown algorithm {algorithm_id!r}; choose from {sorted(ALGORITHMS)}")
-    outcome = scheduler(workload, nodes, config, coeffs=coeffs)
+    outcome = _scheduler(algorithm_id)(workload, nodes, config, coeffs=coeffs)
     report = build_report(outcome, nodes, config.power_policy)
     logger.info(
         "batch %s: %d requests, %d unallocated, %d nodes",
@@ -177,15 +188,15 @@ class _Timeline:
         coeffs: ProfilerCoefficients,
         on_event: Optional[Callable[[SimEvent, Sequence[Node]], None]],
     ) -> None:
-        scheduler = ALGORITHMS.get(algorithm_id)
-        if scheduler is None:
-            raise ConfigError(f"unknown algorithm {algorithm_id!r}; choose from {sorted(ALGORITHMS)}")
+        scheduler = _scheduler(algorithm_id)
         if not snapshot_interval_s > 0.0:
             raise ValidationError(f"snapshot_interval_s must be > 0, got {snapshot_interval_s!r}")
         validate_unique_ids((r.id for r in workload), "request")
         for request in workload:
             if request.arrival_s is None or request.duration_s is None:
                 raise ValidationError(f"request {request.id!r} lacks arrival_s/duration_s")
+            if not math.isfinite(request.arrival_s + request.duration_s):
+                raise ValidationError(f"request {request.id!r} departs at a non-finite time")
         for node in nodes:
             if node.allocated:
                 raise ValidationError(
@@ -194,7 +205,7 @@ class _Timeline:
                 )
         self.scheduler = scheduler
         self.requests = {r.id: r for r in workload}
-        self.nodes: List[Node] = list(nodes)
+        self.state = ClusterState(nodes, config.power_policy)
         self.config = config
         self.adaptor = adaptor
         self.interval = snapshot_interval_s
@@ -221,26 +232,21 @@ class _Timeline:
                 self.heap, (request.arrival_s, _RANK[EventKind.ARRIVAL], request.id, request.id)
             )
 
-    def _node_index(self, node_id: str) -> int:
-        for index, node in enumerate(self.nodes):
-            if node.id == node_id:
-                return index
-        raise KeyError(node_id)
-
     def _record_power(self, time_s: float) -> None:
-        watts = total_power(self.nodes, self.config.power_policy)
+        # The same per-node draws summed in the same order as total_power.
+        watts = sum(self.state.power)
         if not self.power_steps or self.power_steps[-1][1] != watts:
             self.power_steps.append((time_s, watts))
 
     def _emit(self, event: SimEvent) -> None:
         self.events.append(event)
         if self.on_event is not None:
-            self.on_event(event, self.nodes)
+            self.on_event(event, self.state)
 
     def _arrive(self, time_s: float, request_id: str) -> None:
         request = self.requests[request_id]
         outcome = self.scheduler(
-            [request], self.nodes, self.config, coeffs=self.coeffs, id_sequence=self.id_sequence
+            [request], self.state, self.config, coeffs=self.coeffs, id_sequence=self.id_sequence
         )
         self.trace.extend(outcome.trace)
         self.created.extend(outcome.created_node_ids)
@@ -264,10 +270,7 @@ class _Timeline:
 
     def _depart(self, time_s: float, request_id: str) -> None:
         node_id = self.node_of.pop(request_id)
-        index = self._node_index(node_id)
-        node = release_from_node(self.nodes[index], request_id, self.pct_of[request_id])
-        self.nodes[index] = node
-        if node.is_empty:
+        if self.state.release(node_id, request_id, self.pct_of[request_id]):
             self.empty_since[node_id] = time_s
             heapq.heappush(
                 self.heap,
@@ -292,30 +295,30 @@ class _Timeline:
 
         if self.empty_since.get(node_id) != armed_at:
             return False
-        if len(self.nodes) - 1 < self.adaptor.retain_min_nodes:
+        if len(self.state) - 1 < self.adaptor.retain_min_nodes:
             logger.debug("scale-down of %s blocked by retain_min_nodes", node_id)
             return False
         return True
 
     def _scale_down(self, time_s: float, node_id: str) -> None:
         del self.empty_since[node_id]
-        del self.nodes[self._node_index(node_id)]
+        self.state.remove(node_id)
         self.horizon = time_s
         self._record_power(time_s)
         self._emit(SimEvent(time_s, EventKind.SCALE_CHECK, node_id=node_id))
         logger.info("scaled down node %s at t=%.3f", node_id, time_s)
 
     def _snapshot(self, time_s: float) -> None:
-        for node in sorted(self.nodes, key=lambda n: n.id):
-            util = node.utilization
+        state = self.state
+        for i in sorted(range(len(state)), key=state.ids.__getitem__):
             self.snapshots.append(
                 SnapshotRow(
                     time_s=time_s,
-                    node_id=node.id,
-                    compute_util=util.compute,
-                    memory_util=util.memory,
-                    storage_util=util.storage,
-                    power_w=node_power(node, self.config.power_policy),
+                    node_id=state.ids[i],
+                    compute_util=state.uc[i],
+                    memory_util=state.um[i],
+                    storage_util=state.us[i],
+                    power_w=state.power[i],
                 )
             )
         self._emit(SimEvent(time_s, EventKind.SNAPSHOT))
@@ -362,7 +365,7 @@ class _Timeline:
         )
         report = build_report(
             outcome,
-            self.nodes,
+            list(self.state),
             self.config.power_policy,
             deadline_misses=_deadline_misses(list(self.requests.values()), self.unallocated),
             energy_wh=energy_wh,

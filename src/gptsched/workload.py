@@ -28,9 +28,10 @@ from __future__ import annotations
 import io
 import json
 import math
+from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Dict, IO, List, Optional, Sequence, Tuple, Union
+from typing import Dict, IO, Iterator, List, Optional, Sequence, Tuple, Union
 
 from .model import (
     GptRequest,
@@ -46,7 +47,21 @@ MAX_TOKENS = 32768
 _MASK64 = (1 << 64) - 1
 _GOLDEN_GAMMA = 0x9E3779B97F4A7C15
 
-Source = Union[str, Path, IO[str]]
+TextStream = Union[str, Path, IO[str]]
+
+
+@contextmanager
+def open_text(target: TextStream, mode: str) -> Iterator[IO[str]]:
+    """A path opened as UTF-8 text and closed on exit, or a stream as given.
+
+    Reading translates line endings; writing emits the text unchanged.
+    """
+
+    if isinstance(target, (str, Path)):
+        with open(target, mode, encoding="utf-8", newline=None if mode == "r" else "") as stream:
+            yield stream
+    else:
+        yield target
 
 
 class TraceParseError(GptSchedError):
@@ -318,19 +333,7 @@ def request_from_dict(obj: Dict[str, object], line_no: int = 0) -> GptRequest:
         raise TraceParseError(line_no, str(exc)) from None
 
 
-def _open_source(source: Source) -> Tuple[IO[str], bool]:
-    if isinstance(source, (str, Path)):
-        return open(source, "r", encoding="utf-8", newline=""), True
-    return source, False
-
-
-def _open_sink(sink: Source) -> Tuple[IO[str], bool]:
-    if isinstance(sink, (str, Path)):
-        return open(sink, "w", encoding="utf-8", newline=""), True
-    return sink, False
-
-
-def load_trace(source: Source) -> List[GptRequest]:
+def load_trace(source: TextStream) -> List[GptRequest]:
     """Read a JSON Lines trace from a path or text stream.
 
     Blank lines are skipped. Raises TraceParseError (with the 1-based line
@@ -338,8 +341,7 @@ def load_trace(source: Source) -> List[GptRequest]:
     duplicate request ids.
     """
 
-    stream, owned = _open_source(source)
-    try:
+    with open_text(source, "r") as stream:
         requests: List[GptRequest] = []
         seen: Dict[str, int] = {}
         for line_no, line in enumerate(stream, start=1):
@@ -358,22 +360,15 @@ def load_trace(source: Source) -> List[GptRequest]:
             seen[request.id] = line_no
             requests.append(request)
         return requests
-    finally:
-        if owned:
-            stream.close()
 
 
-def write_trace(requests: Sequence[GptRequest], sink: Source) -> None:
+def write_trace(requests: Sequence[GptRequest], sink: TextStream) -> None:
     """Write requests as JSON Lines to a path or text stream."""
 
-    stream, owned = _open_sink(sink)
-    try:
+    with open_text(sink, "w") as stream:
         for request in requests:
             stream.write(json.dumps(request_to_dict(request), separators=(",", ":")))
             stream.write("\n")
-    finally:
-        if owned:
-            stream.close()
 
 
 def trace_to_string(requests: Sequence[GptRequest]) -> str:

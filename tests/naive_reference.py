@@ -14,15 +14,24 @@ types; outputs are plain dicts:
      "unallocated": [request_id, ...],
      "created": [node_id, ...],
      "nodes": [{"id": ..., "util": [c, m, s], "allocated": set()}, ...]}
+
+ref_timeline is the reference for the timeline simulator: it replays a
+timed workload on a plain list of Node values through the public
+list-based schedulers and value functions, and returns the package's own
+result types so tests can compare with ==.
 """
 
 from __future__ import annotations
 
+import heapq
 from typing import Dict, List, Optional, Sequence
 
-from gptsched.model import GptRequest, Node, NodeTemplate
-from gptsched.power import PowerMode, PowerPolicy
+from gptsched.metrics import build_report
+from gptsched.model import GptRequest, Node, NodeTemplate, release_from_node
+from gptsched.power import PowerMode, PowerPolicy, node_power, total_power
 from gptsched.profiler import ProfilerCoefficients, estimate_demand
+from gptsched.scheduling import ALGORITHMS, AllocationOutcome, NodeIdSequence, SchedulerConfig
+from gptsched.simulator import AdaptorPolicy, EventKind, SimEvent, SnapshotRow
 
 EPS = 1e-9
 
@@ -252,4 +261,146 @@ def ref_power_efficient(
         "unallocated": unallocated,
         "created": created,
         "nodes": states,
+    }
+
+
+def ref_timeline(
+    requests: Sequence[GptRequest],
+    nodes: Sequence[Node],
+    algorithm: str,
+    config: SchedulerConfig,
+    adaptor: AdaptorPolicy,
+    interval: float,
+    coeffs: ProfilerCoefficients = ProfilerCoefficients(),
+) -> dict:
+    """Event-by-event replay of a timed workload on a list of Node values.
+
+    Each arrival calls the list-based scheduler for that one request, each
+    departure replaces its node with release_from_node, total power is
+    total_power over the list after every event and snapshot rows price
+    nodes with node_power. Events at equal times run departure, arrival,
+    snapshot, scale-down check, then by id. A scale check whose node was
+    reused or removed since it was armed, or whose removal would go below
+    retain_min_nodes, is dropped without moving the snapshot grid.
+
+    Returns {"events", "snapshots", "power_steps", "report"} with the same
+    types as TimelineResult, plus "nodes_at_event": the node list as it
+    stood after each event.
+    """
+
+    depart, arrive, snap, check = 0, 1, 2, 3
+    schedule = ALGORITHMS[algorithm]
+    policy = config.power_policy
+    by_id = {r.id: r for r in requests}
+    cluster = list(nodes)
+    sequence = NodeIdSequence(n.id for n in nodes)
+    heap = [(r.arrival_s, arrive, r.id, r.id) for r in requests]
+    heapq.heapify(heap)
+    allocation: Dict[str, str] = {}
+    unallocated: List[str] = []
+    created: List[str] = []
+    trace: list = []
+    pct_of: dict = {}
+    node_of: Dict[str, str] = {}
+    empty_since: Dict[str, float] = {}
+    events: List[SimEvent] = []
+    snapshots: List[SnapshotRow] = []
+    steps: list = []
+    seen: list = []
+    horizon = None
+
+    def index_of(node_id: str) -> int:
+        return next(i for i, n in enumerate(cluster) if n.id == node_id)
+
+    def after_event(event: SimEvent) -> None:
+        if event.kind is not EventKind.SNAPSHOT:
+            watts = total_power(cluster, policy)
+            if steps[-1][1] != watts:
+                steps.append((event.time_s, watts))
+        events.append(event)
+        seen.append(tuple(cluster))
+
+    def snapshot(time_s: float) -> None:
+        for n in sorted(cluster, key=lambda n: n.id):
+            u = n.utilization
+            snapshots.append(
+                SnapshotRow(time_s, n.id, u.compute, u.memory, u.storage, node_power(n, policy))
+            )
+        after_event(SimEvent(time_s, EventKind.SNAPSHOT))
+
+    steps.append((0.0, total_power(cluster, policy)))
+    grid = 0
+    while heap:
+        time_s, rank, _, payload = heap[0]
+        if rank == check:
+            node_id, armed_at = payload
+            if empty_since.get(node_id) != armed_at or len(cluster) - 1 < adaptor.retain_min_nodes:
+                heapq.heappop(heap)
+                continue
+        if grid * interval < time_s or (grid * interval == time_s and rank > snap):
+            snapshot(grid * interval)
+            grid += 1
+            continue
+        heapq.heappop(heap)
+        horizon = time_s
+        if rank == arrive:
+            request = by_id[payload]
+            outcome = schedule([request], cluster, config, coeffs=coeffs, id_sequence=sequence)
+            trace.extend(outcome.trace)
+            created.extend(outcome.created_node_ids)
+            if payload in outcome.allocation:
+                node_id = outcome.allocation[payload]
+                allocation[payload] = node_of[payload] = node_id
+                pct_of[payload] = outcome.trace[0].pct
+                empty_since.pop(node_id, None)
+                heapq.heappush(heap, (time_s + request.duration_s, depart, payload, payload))
+            else:
+                unallocated.append(payload)
+            after_event(SimEvent(time_s, EventKind.ARRIVAL, request_id=payload))
+        elif rank == depart:
+            node_id = node_of.pop(payload)
+            i = index_of(node_id)
+            cluster[i] = release_from_node(cluster[i], payload, pct_of[payload])
+            if cluster[i].is_empty:
+                empty_since[node_id] = time_s
+                heapq.heappush(
+                    heap, (time_s + adaptor.scale_down_grace_s, check, node_id, (node_id, time_s))
+                )
+            after_event(SimEvent(time_s, EventKind.DEPARTURE, request_id=payload))
+        else:
+            node_id = payload[0]
+            del empty_since[node_id]
+            del cluster[index_of(node_id)]
+            after_event(SimEvent(time_s, EventKind.SCALE_CHECK, node_id=node_id))
+    if horizon is not None:
+        while grid * interval <= horizon:
+            snapshot(grid * interval)
+            grid += 1
+
+    watt_seconds = 0.0
+    if horizon is not None:
+        for k, (start, watts) in enumerate(steps):
+            if start >= horizon:
+                break
+            end = steps[k + 1][0] if k + 1 < len(steps) else horizon
+            watt_seconds += watts * (min(end, horizon) - start)
+    misses = sum(
+        1
+        for r in requests
+        if r.deadline_s is not None and (r.id in unallocated or r.duration_s > r.deadline_s)
+    )
+    report = build_report(
+        AllocationOutcome(allocation, tuple(unallocated), tuple(created), tuple(trace)),
+        cluster,
+        policy,
+        deadline_misses=misses,
+        energy_wh=watt_seconds / 3600.0,
+        require_allocation_targets=False,
+    )
+    return {
+        "events": tuple(events),
+        "snapshots": tuple(snapshots),
+        "power_steps": tuple(steps),
+        "report": report,
+        "nodes_at_event": seen,
     }

@@ -177,6 +177,26 @@ def test_simulate_invalid_interval_exits_2(tmp_path, capsys) -> None:
     assert "snapshot_interval_s" in capsys.readouterr().err
 
 
+def test_simulate_departure_overflow_exits_2(tmp_path) -> None:
+    # Run as a child with a timeout: an unchecked departure at t = inf
+    # keeps the snapshot grid running forever.
+    trace = tmp_path / "overflow.jsonl"
+    trace.write_text(
+        '{"id":"r1","task_kind":"chat","model_params_b":7,"prompt_tokens":1,"output_tokens":1,'
+        '"arrival_s":1e308,"duration_s":1e308}\n',
+        encoding="utf-8",
+    )
+    proc = subprocess.run(
+        [sys.executable, "-m", "gptsched.cli", "simulate", "--workload", str(trace),
+         "--algorithm", "max-util", "--out", str(tmp_path / "sim")],
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert proc.returncode == 2, proc.stderr
+    assert "non-finite" in proc.stderr
+
+
 def test_compare_writes_three_rows_identically(tmp_path) -> None:
     trace = tmp_path / "trace.jsonl"
     assert main(["gen", "--count", "30", "--seed", "4", "--out", str(trace)]) == 0

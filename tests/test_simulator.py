@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import dataclasses
+
 import pytest
 
 from gptsched import (
@@ -10,6 +12,7 @@ from gptsched import (
     EventKind,
     GeneratorSpec,
     LognormalSpec,
+    Node,
     PowerMode,
     PowerPolicy,
     SchedulerConfig,
@@ -24,6 +27,7 @@ from gptsched import (
 from gptsched.simulator import SnapshotRow
 
 from helpers import node, request, template
+from naive_reference import ref_timeline
 
 
 def _config(threshold: float = 0.8, autoscale: bool = False, **kwargs: object) -> SchedulerConfig:
@@ -204,6 +208,14 @@ def test_timeline_deadline_misses() -> None:
     assert result.report.deadline_misses == 2
 
 
+def test_timeline_deadline_is_a_relative_budget() -> None:
+    # Completes at t=105, after deadline_s=50 as an absolute time, but the
+    # budget counts from arrival: 5 s of duration is within 50 s.
+    workload = [request("r1", 10.0, arrival_s=100.0, duration_s=5.0, deadline_s=50.0)]
+    result = _timeline(workload, [node("node-1")], retain=1, interval=1000.0)
+    assert result.report.deadline_misses == 0
+
+
 def test_timeline_idle_power_when_not_off_when_empty() -> None:
     workload = [request("r1", 50.0, arrival_s=10.0, duration_s=10.0)]
     policy = PowerPolicy(mode=PowerMode.INCREMENTAL, off_when_empty=False)
@@ -295,3 +307,79 @@ def test_timeline_power_steps_deduplicate_equal_watts() -> None:
     )
     watts = [w for _, w in result.power_steps]
     assert all(a != b for a, b in zip(watts, watts[1:]))
+
+
+def test_timeline_rejects_departure_time_overflow() -> None:
+    # 1e308 + 1e308 overflows to inf; the snapshot grid would never reach it.
+    huge = request("r1", 10.0, arrival_s=1e308, duration_s=1e308)
+    with pytest.raises(ValidationError, match="non-finite"):
+        _timeline([huge], [node("node-1")])
+
+
+# Autoscale from two nodes with a short grace, or a fixed three-node cluster
+# that may shrink to two, idle nodes drawing power and absolute-after deltas.
+_REPLAY_SCENARIOS = {
+    "autoscale": dict(nodes=2, autoscale=True, grace=5.0, retain=0, interval=7.0, policy=None),
+    "retain": dict(
+        nodes=3, autoscale=False, grace=0.0, retain=2, interval=10.0,
+        policy=PowerPolicy(mode=PowerMode.ABSOLUTE_AFTER, off_when_empty=False),
+    ),
+}
+
+
+@pytest.mark.parametrize("scenario", sorted(_REPLAY_SCENARIOS))
+@pytest.mark.parametrize("resort", [False, True])
+@pytest.mark.parametrize("algorithm", ["max-util", "load-balance", "power"])
+def test_timeline_matches_naive_replay(algorithm, resort, scenario) -> None:
+    spec = _REPLAY_SCENARIOS[scenario]
+    workload = [
+        dataclasses.replace(r, deadline_s=20.0) if i % 3 == 0 else r
+        for i, r in enumerate(_generated_timed_workload(60))
+    ]
+    nodes = [node(f"node-{i + 1}") for i in range(spec["nodes"])]
+    policy = spec["policy"] or PowerPolicy()
+    config = SchedulerConfig(
+        threshold=Threshold(0.8),
+        autoscale_template=template() if spec["autoscale"] else None,
+        resort_after_each_allocation=resort,
+        power_policy=policy,
+    )
+    adaptor = AdaptorPolicy(scale_down_grace_s=spec["grace"], retain_min_nodes=spec["retain"])
+    seen = []
+
+    def on_event(event, view) -> None:
+        listed = tuple(view)
+        assert len(view) == len(listed)
+        assert not listed or (view[0], view[-1]) == (listed[0], listed[-1])
+        seen.append(listed)
+
+    result = run_timeline(workload, nodes, algorithm, config, adaptor, spec["interval"], on_event=on_event)
+    expected = ref_timeline(workload, nodes, algorithm, config, adaptor, spec["interval"])
+
+    assert result.events == expected["events"]
+    assert result.snapshots == expected["snapshots"]
+    assert result.power_steps == expected["power_steps"]
+    assert result.report == expected["report"]
+    assert result.report.energy_wh == expected["report"].energy_wh
+    assert seen == expected["nodes_at_event"]
+    assert result.report.unallocated_count > 0
+    assert any(e.kind is EventKind.SCALE_CHECK for e in result.events)
+
+
+def test_timeline_builds_nodes_only_for_the_report(monkeypatch) -> None:
+    workload = _generated_timed_workload(60)
+    nodes = [node("node-1"), node("node-2")]
+    built = 0
+    post_init = Node.__post_init__
+
+    def counting(self) -> None:
+        nonlocal built
+        built += 1
+        post_init(self)
+
+    monkeypatch.setattr(Node, "__post_init__", counting)
+    result = _timeline(workload, nodes, autoscale=True, grace=5.0, retain=1, interval=20.0)
+    kinds = {e.kind for e in result.events}
+    assert {EventKind.ARRIVAL, EventKind.DEPARTURE, EventKind.SCALE_CHECK} <= kinds
+    assert result.snapshots and result.report.node_count
+    assert built == result.report.node_count

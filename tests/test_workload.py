@@ -268,6 +268,16 @@ def test_request_from_dict_strictness() -> None:
         request_from_dict(_record(demand={"compute": -1.0, "memory_gib": 0.0, "storage_gib": 0.0}))
 
 
+def test_task_kinds_are_the_documented_five() -> None:
+    # README "Trace format" lists exactly these kinds.
+    documented = ("translation", "summarization", "qa", "chat", "other")
+    assert tuple(kind.value for kind in TaskKind) == documented
+    for kind in ("completion", "embedding"):
+        line = '{"id":"r1","task_kind":"%s","model_params_b":7,"prompt_tokens":1,"output_tokens":1}' % kind
+        with pytest.raises(TraceParseError, match="line 1"):
+            load_trace(io.StringIO(line + "\n"))
+
+
 def test_demand_params_coupling() -> None:
     with pytest.raises(TraceParseError, match="model_params_b > 0"):
         request_from_dict(_record(model_params_b=0.0))
