@@ -6,6 +6,11 @@ produce identical bytes and a parse/re-serialize cycle is the identity.
 CSV output uses the same numeric formatting, a stable column order and LF
 line endings.
 
+Escaped strings are memoized per document, so a decision trace that lists
+the same node ids many times escapes each id once. Every document is built
+in full before its sink is opened: a value that cannot be serialized raises
+ValidationError and leaves an existing output untouched.
+
 Schemas:
 
     Report (JSON): mean_compute_utilization, utilization_stddev,
@@ -27,8 +32,8 @@ from __future__ import annotations
 
 import csv
 import io
-import json
 import math
+from json.encoder import encode_basestring
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from .metrics import Report
@@ -78,26 +83,70 @@ def canonical_json(value: object) -> str:
     Dict keys keep insertion order (callers build them in schema order);
     floats go through format_float. Round-trip stable: parsing the output
     and re-serializing reproduces the same bytes.
+
+    The tree is walked once into one list of chunks, joined at the end.
+    Each distinct str is escaped once per call with encode_basestring (what
+    json.dumps(s, ensure_ascii=False) applies to a str); a list or tuple of
+    exact strs is joined from the cached escaped forms in one step.
     """
 
-    if value is None:
-        return "null"
-    if value is True:
-        return "true"
-    if value is False:
-        return "false"
-    if isinstance(value, str):
-        return json.dumps(value, ensure_ascii=False)
-    if isinstance(value, int):
-        return str(value)
-    if isinstance(value, float):
-        return format_float(value)
-    if isinstance(value, dict):
-        parts = (f"{json.dumps(str(k), ensure_ascii=False)}:{canonical_json(v)}" for k, v in value.items())
-        return "{" + ",".join(parts) + "}"
-    if isinstance(value, (list, tuple)):
-        return "[" + ",".join(canonical_json(item) for item in value) + "]"
-    raise ValidationError(f"cannot serialize {type(value).__name__} canonically")
+    chunks: List[str] = []
+    append = chunks.append
+    memo: Dict[str, str] = {}
+
+    def escape(text: str) -> str:
+        if type(text) is not str:
+            return encode_basestring(text)
+        encoded = memo.get(text)
+        if encoded is None:
+            encoded = memo[text] = encode_basestring(text)
+        return encoded
+
+    def emit(item: object) -> None:
+        if item is None:
+            append("null")
+        elif item is True:
+            append("true")
+        elif item is False:
+            append("false")
+        elif isinstance(item, str):
+            append(escape(item))
+        elif isinstance(item, int):
+            append(str(item))
+        elif isinstance(item, float):
+            append(format_float(item))
+        elif isinstance(item, dict):
+            sep = "{"
+            for key, child in item.items():
+                append(sep)
+                append(escape(str(key)))
+                append(":")
+                emit(child)
+                sep = ","
+            append("}" if sep == "," else "{}")
+        elif isinstance(item, (list, tuple)):
+            if item and set(map(type, item)) == {str}:
+                try:
+                    joined = ",".join(map(memo.__getitem__, item))
+                except KeyError:
+                    for text in set(item).difference(memo):
+                        memo[text] = encode_basestring(text)
+                    joined = ",".join(map(memo.__getitem__, item))
+                append("[")
+                append(joined)
+                append("]")
+                return
+            sep = "["
+            for child in item:
+                append(sep)
+                emit(child)
+                sep = ","
+            append("]" if sep == "," else "[]")
+        else:
+            raise ValidationError(f"cannot serialize {type(item).__name__} canonically")
+
+    emit(value)
+    return "".join(chunks)
 
 
 def report_to_dict(report: Report) -> Dict[str, object]:
@@ -159,9 +208,18 @@ def outcome_to_dict(outcome: AllocationOutcome) -> Dict[str, object]:
     }
 
 
-def _write_text(text: str, sink: TextStream) -> None:
+# Text goes to the sink in slices of this many characters, so writing never
+# holds a second, encoded copy of a whole document.
+_WRITE_SLICE = 1 << 20
+
+
+def _write_text(text: str, sink: TextStream, end: str = "") -> None:
+    # Callers pass the finished text, so a value that cannot be serialized
+    # fails before the sink is opened and leaves an existing output intact.
     with open_text(sink, "w") as stream:
-        stream.write(text)
+        for start in range(0, len(text), _WRITE_SLICE):
+            stream.write(text[start : start + _WRITE_SLICE])
+        stream.write(end)
 
 
 def _cell(value: object) -> str:
@@ -225,7 +283,7 @@ def write_report(
             if algorithm is not None:
                 doc["algorithm"] = algorithm
             doc.update(report_to_dict(payload))
-            _write_text(canonical_json(doc) + "\n", sink)
+            _write_text(canonical_json(doc), sink, "\n")
         else:
             header = (("algorithm",) if algorithm is not None else ()) + REPORT_CSV_COLUMNS
             row = ([algorithm] if algorithm is not None else []) + report_csv_row(payload)
@@ -256,7 +314,7 @@ def write_report(
             }
             for r in rows
         ]
-        _write_text(canonical_json(docs) + "\n", sink)
+        _write_text(canonical_json(docs), sink, "\n")
 
 
 def write_outcome_document(
@@ -269,7 +327,7 @@ def write_outcome_document(
         "outcome": outcome_to_dict(outcome),
         "report": report_to_dict(report),
     }
-    _write_text(canonical_json(doc) + "\n", sink)
+    _write_text(canonical_json(doc), sink, "\n")
 
 
 def comparison_rows(named_reports: Sequence[Tuple[str, Report]]) -> List[List[object]]:
@@ -296,4 +354,4 @@ def write_comparison(named_reports: Sequence[Tuple[str, Report]], fmt: str, sink
         _write_text(_csv_text(COMPARISON_COLUMNS, rows), sink)
     else:
         docs = [dict(zip(COMPARISON_COLUMNS, row)) for row in rows]
-        _write_text(canonical_json({"rows": docs}) + "\n", sink)
+        _write_text(canonical_json({"rows": docs}), sink, "\n")

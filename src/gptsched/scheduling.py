@@ -326,8 +326,8 @@ class _FirstFit:
                 and us[i] + ds / cs[i] <= limit
             ):
                 self.dirty = True
-                return i, tuple(ids[j] for j in order[: pos + 1]), ()
-        return -1, tuple(ids[j] for j in order), ()
+                return i, tuple(map(ids.__getitem__, order[: pos + 1])), ()
+        return -1, tuple(map(ids.__getitem__, order)), ()
 
     def created(self, i: int) -> None:
         self.order.append(i)

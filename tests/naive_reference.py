@@ -19,17 +19,22 @@ ref_timeline is the reference for the timeline simulator: it replays a
 timed workload on a plain list of Node values through the public
 list-based schedulers and value functions, and returns the package's own
 result types so tests can compare with ==.
+
+ref_canonical_json is the reference for reportio.canonical_json: the
+straightforward recursive encoder with one json.dumps call per string.
 """
 
 from __future__ import annotations
 
 import heapq
+import json
 from typing import Dict, List, Optional, Sequence
 
 from gptsched.metrics import build_report
-from gptsched.model import GptRequest, Node, NodeTemplate, release_from_node
+from gptsched.model import GptRequest, Node, NodeTemplate, ValidationError, release_from_node
 from gptsched.power import PowerMode, PowerPolicy, node_power, total_power
 from gptsched.profiler import ProfilerCoefficients, estimate_demand
+from gptsched.reportio import format_float
 from gptsched.scheduling import ALGORITHMS, AllocationOutcome, NodeIdSequence, SchedulerConfig
 from gptsched.simulator import AdaptorPolicy, EventKind, SimEvent, SnapshotRow
 
@@ -404,3 +409,31 @@ def ref_timeline(
         "report": report,
         "nodes_at_event": seen,
     }
+
+
+def ref_canonical_json(value: object) -> str:
+    """Serialize a JSON tree deterministically.
+
+    Dict keys keep insertion order (callers build them in schema order);
+    floats go through format_float. Round-trip stable: parsing the output
+    and re-serializing reproduces the same bytes.
+    """
+
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    if isinstance(value, str):
+        return json.dumps(value, ensure_ascii=False)
+    if isinstance(value, int):
+        return str(value)
+    if isinstance(value, float):
+        return format_float(value)
+    if isinstance(value, dict):
+        parts = (f"{json.dumps(str(k), ensure_ascii=False)}:{ref_canonical_json(v)}" for k, v in value.items())
+        return "{" + ",".join(parts) + "}"
+    if isinstance(value, (list, tuple)):
+        return "[" + ",".join(ref_canonical_json(item) for item in value) + "]"
+    raise ValidationError(f"cannot serialize {type(value).__name__} canonically")

@@ -4,8 +4,11 @@ from __future__ import annotations
 
 import io
 import json
+from dataclasses import replace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gptsched import (
     SchedulerConfig,
@@ -14,6 +17,7 @@ from gptsched import (
     build_report,
     schedule_max_util,
 )
+from gptsched import reportio
 from gptsched.reportio import (
     COMPARISON_COLUMNS,
     REPORT_CSV_COLUMNS,
@@ -29,6 +33,7 @@ from gptsched.reportio import (
 from gptsched.simulator import SnapshotRow
 
 from helpers import node, request, template
+from naive_reference import ref_canonical_json
 
 
 @pytest.mark.parametrize(
@@ -208,3 +213,138 @@ def test_write_to_path(tmp_path) -> None:
     path = tmp_path / "report.json"
     write_report(report, "json", path)
     assert json.loads(path.read_text(encoding="utf-8"))["node_count"] == 2
+
+
+class _Tag(str):
+    """A str subclass: serialized from its characters as a value, and
+    through str() as a dict key."""
+
+    def __str__(self) -> str:
+        return "tag:" + str.__str__(self)
+
+
+_TRICKY_CHARS = ['"', "\\", "\n", "\t", "\x00", "\x1f", "\x7f", "/", "é", "\u2028", "\U0001f600", "a", " "]
+_texts = st.text(max_size=8) | st.text(alphabet=st.sampled_from(_TRICKY_CHARS), max_size=8)
+_strings = _texts | st.builds(_Tag, _texts)
+_scalars = (
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.integers(min_value=2**63, max_value=2**200)
+    | st.floats(allow_nan=False, allow_infinity=False)
+    | st.just(-0.0)
+    | _strings
+)
+_keys = _strings | st.integers() | st.floats() | st.booleans()
+
+
+def _containers(children: st.SearchStrategy) -> st.SearchStrategy:
+    return (
+        st.lists(children, max_size=5)
+        | st.lists(children, max_size=5).map(tuple)
+        | st.lists(_strings, max_size=6)
+        | st.lists(_strings, max_size=6).map(tuple)
+        | st.dictionaries(_keys, children, max_size=5)
+    )
+
+
+_trees = st.recursive(_scalars, _containers, max_leaves=40)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_trees)
+def test_canonical_json_matches_reference_encoder(tree) -> None:
+    assert canonical_json(tree) == ref_canonical_json(tree)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(_strings, min_size=1, max_size=6), _scalars, st.integers(min_value=0, max_value=6))
+def test_mixed_string_lists_match_reference_encoder(strings, other, at) -> None:
+    mixed = list(strings)
+    mixed.insert(at, other)
+    # The same strings appear again as keys and as an all-string list, so
+    # the per-document cache is hit from every kind of position.
+    tree = {"mixed": mixed, "again": tuple(strings), **{s: s for s in strings}}
+    assert canonical_json(tree) == ref_canonical_json(tree)
+
+
+def test_canonical_json_deep_nesting_matches_reference_encoder() -> None:
+    tree: object = ["leaf", 1]
+    for depth in range(150):
+        tree = {f"k{depth % 3}": [tree, "x"], "t": ()} if depth % 2 else (tree,)
+    assert canonical_json(tree) == ref_canonical_json(tree)
+    assert canonical_json([[], {}, (), ""]) == ref_canonical_json([[], {}, (), ""]) == '[[],{},[],""]'
+
+
+@pytest.mark.parametrize(
+    "tree",
+    [
+        float("nan"),
+        {"x": float("inf")},
+        ["a", "b", float("-inf")],
+        ("a", object()),
+        {"x": [{"y": b"bytes"}]},
+        {1.5: {"s": {"set"}}},
+        [complex(1, 2)],
+    ],
+)
+def test_canonical_json_rejects_what_the_reference_rejects(tree) -> None:
+    with pytest.raises(ValidationError):
+        canonical_json(tree)
+    with pytest.raises(ValidationError):
+        ref_canonical_json(tree)
+
+
+def test_outcome_document_escapes_each_distinct_string_once(monkeypatch) -> None:
+    nodes = [node(f"node-{i:02d}") for i in range(40)]
+    queue = [request(f"r{j:03d}", 8.0, 4.0, 2.0) for j in range(300)]
+    config = SchedulerConfig(threshold=Threshold(0.8), autoscale_template=template())
+    outcome = schedule_max_util(queue, nodes, config)
+    report = build_report(outcome, nodes, config.power_policy)
+    scanned = sum(len(record.scanned) for record in outcome.trace)
+
+    calls = 0
+    escape = reportio.encode_basestring
+
+    def counting(text: str) -> str:
+        nonlocal calls
+        calls += 1
+        return escape(text)
+
+    monkeypatch.setattr(reportio, "encode_basestring", counting)
+    buffer = io.StringIO()
+    write_outcome_document("max-util", outcome, report, buffer)
+
+    distinct = set()
+
+    def collect(value: object) -> None:
+        if isinstance(value, str):
+            distinct.add(value)
+        elif isinstance(value, dict):
+            distinct.update(value)
+            for child in value.values():
+                collect(child)
+        elif isinstance(value, list):
+            for child in value:
+                collect(child)
+
+    collect(json.loads(buffer.getvalue()))
+    assert scanned > 10 * len(distinct)
+    assert 0 < calls <= len(distinct)
+
+
+def test_failed_serialization_leaves_existing_output_unchanged(tmp_path) -> None:
+    outcome, report = _outcome_and_report()
+    bad = replace(report, total_power_w=float("inf"))
+    path = tmp_path / "out.json"
+    previous = b"previous output\n"
+    path.write_bytes(previous)
+    with pytest.raises(ValidationError):
+        write_outcome_document("max-util", outcome, bad, path)
+    assert path.read_bytes() == previous
+    with pytest.raises(ValidationError):
+        write_report(bad, "json", path, algorithm="max-util")
+    assert path.read_bytes() == previous
+    with pytest.raises(ValidationError):
+        write_report([SnapshotRow(0.0, "node-1", 0.4, 0.2, 0.1, float("nan"))], "json", path)
+    assert path.read_bytes() == previous

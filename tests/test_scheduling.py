@@ -321,3 +321,24 @@ def test_oracle_spot_check_small_instances() -> None:
         assert got.allocation == want["allocation"]
         assert list(got.unallocated) == want["unallocated"]
         assert list(got.created_node_ids) == want["created"]
+
+
+def test_resort_schedulers_match_naive_reference() -> None:
+    rng = random.Random(20261018)
+    for _ in range(400):
+        requests, nodes, threshold, autoscale, policy = random_instance(rng)
+        config = SchedulerConfig(
+            threshold=Threshold(threshold),
+            autoscale_template=autoscale,
+            power_policy=policy,
+            resort_after_each_allocation=True,
+        )
+        for scheduler, reference in (
+            (schedule_max_util, ref_max_util),
+            (schedule_load_balance, ref_load_balance),
+        ):
+            got = scheduler(requests, list(nodes), config)
+            want = reference(requests, list(nodes), threshold, autoscale, resort=True)
+            assert got.allocation == want["allocation"]
+            assert set(got.unallocated) == set(want["unallocated"])
+            assert list(got.created_node_ids) == want["created"]
