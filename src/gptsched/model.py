@@ -1,15 +1,16 @@
 """Core domain types for GPT inference scheduling.
 
-A cluster is a list of nodes. Each node has a fixed capacity along three
-resource axes (compute units, memory GiB, storage GiB), a linear power
-envelope, a fractional utilization vector, and the set of request ids
-currently allocated to it. Requests describe an inference task either by
-an explicit resource demand or by model/token attributes that a profiler
-can turn into one.
+A node has a fixed capacity along three resource axes (compute units,
+memory GiB, storage GiB), a linear power envelope, a fractional
+utilization vector, and the set of request ids currently allocated to it.
+Requests describe an inference task either by an explicit resource demand
+or by model/token attributes that a profiler can turn into one.
 
 All value types are frozen dataclasses so they can be compared, hashed
-where needed, and shared safely. Mutation happens by replacement:
-``allocate_to_node`` and ``release_from_node`` return new Node values.
+where needed, and shared safely. The schedulers and the timeline mutate
+one scheduling.ClusterState in place; ``allocate_to_node`` and
+``release_from_node`` return new Node values and serve the public API and
+the naive reference the tests compare against.
 """
 
 from __future__ import annotations

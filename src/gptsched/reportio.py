@@ -180,7 +180,7 @@ def _decision_to_dict(record: DecisionRecord) -> Dict[str, object]:
             "memory_gib": float(demand.memory_gib),
             "storage_gib": float(demand.storage_gib),
         },
-        "scanned": list(record.scanned),
+        "scanned": record.scanned,
         "chosen_node_id": record.chosen_node_id,
         "pct": None,
         "created_node": record.created_node,

@@ -101,7 +101,7 @@ class DecisionRecord:
 
 @dataclass(frozen=True)
 class AllocationOutcome:
-    """Result of one scheduling run.
+    """Result of one scheduling run, derived from its trace by from_trace.
 
     allocation maps request id to node id in decision order; unallocated
     lists rejected request ids in decision order; trace has one
@@ -112,6 +112,19 @@ class AllocationOutcome:
     unallocated: Tuple[str, ...]
     created_node_ids: Tuple[str, ...]
     trace: Tuple[DecisionRecord, ...]
+
+    @classmethod
+    def from_trace(cls, trace: Sequence[DecisionRecord]) -> AllocationOutcome:
+        """The outcome the decision records imply: placed requests with
+        their nodes, rejected ids and created node ids, in decision order."""
+
+        placed = [r for r in trace if r.chosen_node_id is not None]
+        return cls(
+            {r.request_id: r.chosen_node_id for r in placed},
+            tuple(r.request_id for r in trace if r.chosen_node_id is None),
+            tuple(r.chosen_node_id for r in placed if r.created_node),
+            tuple(trace),
+        )
 
 
 class NodeIdSequence:
@@ -404,9 +417,6 @@ def _schedule(
     scan = make_scan(state, config)
     template = config.autoscale_template
 
-    allocation: Dict[str, str] = {}
-    unallocated: List[str] = []
-    created: List[str] = []
     trace: List[DecisionRecord] = []
 
     for request in ordered:
@@ -419,21 +429,18 @@ def _schedule(
             if dc / cap.compute <= limit and dm / cap.memory_gib <= limit and ds / cap.storage_gib <= limit:
                 chosen = state.add_node(seq.next_id(), template)
                 scan.created(chosen)
-                created.append(state.ids[chosen])
                 fresh = True
         if chosen < 0:
             reason = REASON_NO_FEASIBLE_NODE if template is None else REASON_INFEASIBLE_ON_ANY_NODE
-            unallocated.append(request.id)
             trace.append(DecisionRecord(request.id, demand, scanned, None, None, False, reason))
             continue
         pct = state.allocate(chosen, request.id, demand)
         node_id = state.ids[chosen]
-        allocation[request.id] = node_id
         trace.append(DecisionRecord(request.id, demand, scanned, node_id, pct, fresh, None, estimates))
 
     if state is not nodes:
         nodes[:] = state
-    return AllocationOutcome(allocation, tuple(unallocated), tuple(created), tuple(trace))
+    return AllocationOutcome.from_trace(trace)
 
 
 def _resolve_and_order(

@@ -13,7 +13,9 @@ A timeline run keeps one scheduling.ClusterState throughout: arrivals
 place into it, departures release in place, scale-down deletes from it,
 and total power and snapshot rows read its per-node arrays. Node values
 are built only for the final report and for on_event, which gets the
-state itself as a live read-only Sequence[Node].
+state itself as a live read-only Sequence[Node]. A departure reads its
+node and percentages from the request's decision record, and the run's
+outcome is derived from the decision trace.
 
 Event ordering at equal times is departure, then arrival, then snapshot,
 then scale-down check, with ties inside a kind broken by ascending
@@ -32,7 +34,7 @@ from enum import Enum
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from .metrics import Report, build_report
-from .model import ConfigError, GptRequest, Node, UtilizationVector, ValidationError, validate_unique_ids
+from .model import ConfigError, GptRequest, Node, ValidationError, validate_unique_ids
 from .model import release_from_node  # noqa: F401  re-exported; the timeline uses ClusterState
 from .power import node_power, total_power  # noqa: F401  re-exported, likewise
 from .profiler import DEFAULT_COEFFICIENTS, ProfilerCoefficients
@@ -61,12 +63,8 @@ class EventKind(str, Enum):
     SCALE_CHECK = "scale-check"
 
 
-_RANK = {
-    EventKind.DEPARTURE: 0,
-    EventKind.ARRIVAL: 1,
-    EventKind.SNAPSHOT: 2,
-    EventKind.SCALE_CHECK: 3,
-}
+# Heap ranks, the EventKind order above.
+_DEPARTURE, _ARRIVAL, _SNAPSHOT, _SCALE_CHECK = range(4)
 
 
 @dataclass(frozen=True)
@@ -188,7 +186,7 @@ class _Timeline:
         coeffs: ProfilerCoefficients,
         on_event: Optional[Callable[[SimEvent, Sequence[Node]], None]],
     ) -> None:
-        scheduler = _scheduler(algorithm_id)
+        self.scheduler = _scheduler(algorithm_id)
         if not snapshot_interval_s > 0.0:
             raise ValidationError(f"snapshot_interval_s must be > 0, got {snapshot_interval_s!r}")
         validate_unique_ids((r.id for r in workload), "request")
@@ -203,7 +201,6 @@ class _Timeline:
                     f"timeline initial node {node.id!r} must start empty; "
                     "pre-existing allocations have no departure times"
                 )
-        self.scheduler = scheduler
         self.requests = {r.id: r for r in workload}
         self.state = ClusterState(nodes, config.power_policy)
         self.config = config
@@ -213,24 +210,21 @@ class _Timeline:
         self.on_event = on_event
         self.id_sequence = NodeIdSequence(n.id for n in nodes)
 
-        self.allocation: Dict[str, str] = {}
-        self.unallocated: List[str] = []
-        self.created: List[str] = []
         self.trace: List[DecisionRecord] = []
-        self.pct_of: Dict[str, UtilizationVector] = {}
-        self.node_of: Dict[str, str] = {}
+        # The decision record of each placed request that has not departed.
+        self.live: Dict[str, DecisionRecord] = {}
         self.empty_since: Dict[str, float] = {}
         self.snapshots: List[SnapshotRow] = []
         self.events: List[SimEvent] = []
         self.horizon: Optional[float] = None
         self.power_steps: List[Tuple[float, float]] = []
 
-        # Heap entries: (time, kind rank, tiebreak id, payload).
-        self.heap: List[Tuple[float, int, str, object]] = []
-        for request in workload:
-            heapq.heappush(
-                self.heap, (request.arrival_s, _RANK[EventKind.ARRIVAL], request.id, request.id)
-            )
+        # Heap entries: (time, rank, request or node id, armed_at). armed_at
+        # is when a scale check's node became empty, 0.0 for other kinds.
+        self.heap: List[Tuple[float, int, str, float]] = [
+            (r.arrival_s, _ARRIVAL, r.id, 0.0) for r in workload
+        ]
+        heapq.heapify(self.heap)
 
     def _record_power(self, time_s: float) -> None:
         # The same per-node draws summed in the same order as total_power.
@@ -243,47 +237,28 @@ class _Timeline:
         if self.on_event is not None:
             self.on_event(event, self.state)
 
-    def _arrive(self, time_s: float, request_id: str) -> None:
+    def _arrive(self, time_s: float, request_id: str) -> SimEvent:
         request = self.requests[request_id]
         outcome = self.scheduler(
             [request], self.state, self.config, coeffs=self.coeffs, id_sequence=self.id_sequence
         )
-        self.trace.extend(outcome.trace)
-        self.created.extend(outcome.created_node_ids)
-        if request_id in outcome.allocation:
-            node_id = outcome.allocation[request_id]
-            self.allocation[request_id] = node_id
-            self.node_of[request_id] = node_id
-            record = outcome.trace[0]
-            assert record.pct is not None
-            self.pct_of[request_id] = record.pct
-            self.empty_since.pop(node_id, None)
-            heapq.heappush(
-                self.heap,
-                (time_s + request.duration_s, _RANK[EventKind.DEPARTURE], request_id, request_id),
-            )
-        else:
-            self.unallocated.append(request_id)
-        self.horizon = time_s
-        self._record_power(time_s)
-        self._emit(SimEvent(time_s, EventKind.ARRIVAL, request_id=request_id))
+        record = outcome.trace[0]
+        self.trace.append(record)
+        if record.chosen_node_id is not None:
+            self.live[request_id] = record
+            self.empty_since.pop(record.chosen_node_id, None)
+            heapq.heappush(self.heap, (time_s + request.duration_s, _DEPARTURE, request_id, 0.0))
+        return SimEvent(time_s, EventKind.ARRIVAL, request_id=request_id)
 
-    def _depart(self, time_s: float, request_id: str) -> None:
-        node_id = self.node_of.pop(request_id)
-        if self.state.release(node_id, request_id, self.pct_of[request_id]):
+    def _depart(self, time_s: float, request_id: str) -> SimEvent:
+        record = self.live.pop(request_id)
+        node_id = record.chosen_node_id
+        if self.state.release(node_id, request_id, record.pct):
             self.empty_since[node_id] = time_s
             heapq.heappush(
-                self.heap,
-                (
-                    time_s + self.adaptor.scale_down_grace_s,
-                    _RANK[EventKind.SCALE_CHECK],
-                    node_id,
-                    (node_id, time_s),
-                ),
+                self.heap, (time_s + self.adaptor.scale_down_grace_s, _SCALE_CHECK, node_id, time_s)
             )
-        self.horizon = time_s
-        self._record_power(time_s)
-        self._emit(SimEvent(time_s, EventKind.DEPARTURE, request_id=request_id))
+        return SimEvent(time_s, EventKind.DEPARTURE, request_id=request_id)
 
     def _scale_check_effective(self, node_id: str, armed_at: float) -> bool:
         """Whether a due scale check will actually remove its node.
@@ -300,13 +275,11 @@ class _Timeline:
             return False
         return True
 
-    def _scale_down(self, time_s: float, node_id: str) -> None:
+    def _scale_down(self, time_s: float, node_id: str) -> SimEvent:
         del self.empty_since[node_id]
         self.state.remove(node_id)
-        self.horizon = time_s
-        self._record_power(time_s)
-        self._emit(SimEvent(time_s, EventKind.SCALE_CHECK, node_id=node_id))
         logger.info("scaled down node %s at t=%.3f", node_id, time_s)
+        return SimEvent(time_s, EventKind.SCALE_CHECK, node_id=node_id)
 
     def _snapshot(self, time_s: float) -> None:
         state = self.state
@@ -328,27 +301,27 @@ class _Timeline:
         snap_index = 0  # next grid point is snap_index * interval
 
         while self.heap:
-            time_s, rank, _, payload = self.heap[0]
-            if rank == _RANK[EventKind.SCALE_CHECK]:
-                node_id, armed_at = payload  # type: ignore[misc]
-                if not self._scale_check_effective(node_id, armed_at):
-                    # A no-op check is not activity: drop it before the
-                    # snapshot grid runs ahead of the real horizon.
-                    heapq.heappop(self.heap)
-                    continue
+            time_s, rank, key, armed_at = self.heap[0]
+            if rank == _SCALE_CHECK and not self._scale_check_effective(key, armed_at):
+                # A no-op check is not activity: drop it before the
+                # snapshot grid runs ahead of the real horizon.
+                heapq.heappop(self.heap)
+                continue
             snap_time = snap_index * self.interval
-            if snap_time < time_s or (snap_time == time_s and rank > _RANK[EventKind.SNAPSHOT]):
+            if snap_time < time_s or (snap_time == time_s and rank > _SNAPSHOT):
                 self._snapshot(snap_time)
                 snap_index += 1
                 continue
             heapq.heappop(self.heap)
-            if rank == _RANK[EventKind.ARRIVAL]:
-                self._arrive(time_s, payload)  # type: ignore[arg-type]
-            elif rank == _RANK[EventKind.DEPARTURE]:
-                self._depart(time_s, payload)  # type: ignore[arg-type]
+            if rank == _ARRIVAL:
+                event = self._arrive(time_s, key)
+            elif rank == _DEPARTURE:
+                event = self._depart(time_s, key)
             else:
-                node_id, _ = payload  # type: ignore[misc]
-                self._scale_down(time_s, node_id)
+                event = self._scale_down(time_s, key)
+            self.horizon = time_s
+            self._record_power(time_s)
+            self._emit(event)
 
         # Trailing grid points up to the horizon; state no longer changes.
         if self.horizon is not None:
@@ -356,19 +329,13 @@ class _Timeline:
                 self._snapshot(snap_index * self.interval)
                 snap_index += 1
 
-        energy_wh = self._integrate_energy()
-        outcome = AllocationOutcome(
-            allocation=self.allocation,
-            unallocated=tuple(self.unallocated),
-            created_node_ids=tuple(self.created),
-            trace=tuple(self.trace),
-        )
+        outcome = AllocationOutcome.from_trace(self.trace)
         report = build_report(
             outcome,
             list(self.state),
             self.config.power_policy,
-            deadline_misses=_deadline_misses(list(self.requests.values()), self.unallocated),
-            energy_wh=energy_wh,
+            deadline_misses=_deadline_misses(list(self.requests.values()), outcome.unallocated),
+            energy_wh=self._integrate_energy(),
             require_allocation_targets=False,
         )
         return TimelineResult(

@@ -288,9 +288,9 @@ def ref_timeline(
     reused or removed since it was armed, or whose removal would go below
     retain_min_nodes, is dropped without moving the snapshot grid.
 
-    Returns {"events", "snapshots", "power_steps", "report"} with the same
-    types as TimelineResult, plus "nodes_at_event": the node list as it
-    stood after each event.
+    Returns {"events", "snapshots", "power_steps", "outcome", "report"} with
+    the same types as TimelineResult, plus "nodes_at_event": the node list
+    as it stood after each event.
     """
 
     depart, arrive, snap, check = 0, 1, 2, 3
@@ -394,8 +394,9 @@ def ref_timeline(
         for r in requests
         if r.deadline_s is not None and (r.id in unallocated or r.duration_s > r.deadline_s)
     )
+    outcome = AllocationOutcome(allocation, tuple(unallocated), tuple(created), tuple(trace))
     report = build_report(
-        AllocationOutcome(allocation, tuple(unallocated), tuple(created), tuple(trace)),
+        outcome,
         cluster,
         policy,
         deadline_misses=misses,
@@ -406,6 +407,7 @@ def ref_timeline(
         "events": tuple(events),
         "snapshots": tuple(snapshots),
         "power_steps": tuple(steps),
+        "outcome": outcome,
         "report": report,
         "nodes_at_event": seen,
     }

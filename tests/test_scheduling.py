@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+from dataclasses import replace
 
 import pytest
 
@@ -15,10 +16,13 @@ from gptsched import (
     UtilizationVector,
     ValidationError,
     create_new_node,
+    default_config,
     fits,
+    generate_synthetic,
     schedule_load_balance,
     schedule_max_util,
     schedule_power_efficient,
+    utilization_stddev,
 )
 from gptsched.scheduling import REASON_INFEASIBLE_ON_ANY_NODE, REASON_NO_FEASIBLE_NODE
 
@@ -342,3 +346,24 @@ def test_resort_schedulers_match_naive_reference() -> None:
             assert got.allocation == want["allocation"]
             assert set(got.unallocated) == set(want["unallocated"])
             assert list(got.created_node_ids) == want["created"]
+
+
+def test_threshold_schedulers_differ_only_when_resorting() -> None:
+    # From an empty homogeneous cluster every node sorts by id, so with one
+    # up-front sort max-util and load-balance scan, and allocate, alike.
+    config = default_config()
+    sort_once = config.scheduler
+    resort = replace(sort_once, resort_after_each_allocation=True)
+
+    def run(scheduler, scheduler_config):
+        nodes = config.fresh_nodes()
+        allocation = scheduler(workload, nodes, scheduler_config).allocation
+        return allocation, utilization_stddev(nodes)
+
+    for seed in (1, 2, 3):
+        workload = generate_synthetic(replace(config.generator, seed=seed))
+        assert run(schedule_max_util, sort_once)[0] == run(schedule_load_balance, sort_once)[0]
+        consolidated, consolidated_sd = run(schedule_max_util, resort)
+        spread, spread_sd = run(schedule_load_balance, resort)
+        assert consolidated != spread
+        assert consolidated_sd > spread_sd

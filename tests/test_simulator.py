@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import dataclasses
+import re
+from pathlib import Path
 
 import pytest
 
@@ -24,6 +26,7 @@ from gptsched import (
     run_batch,
     run_timeline,
 )
+from gptsched import cli, scheduling, simulator
 from gptsched.simulator import SnapshotRow
 
 from helpers import node, request, template
@@ -383,3 +386,63 @@ def test_timeline_builds_nodes_only_for_the_report(monkeypatch) -> None:
     assert {EventKind.ARRIVAL, EventKind.DEPARTURE, EventKind.SCALE_CHECK} <= kinds
     assert result.snapshots and result.report.node_count
     assert built == result.report.node_count
+
+
+def _replay_inputs(scenario: str, resort: bool):
+    spec = _REPLAY_SCENARIOS[scenario]
+    workload = [
+        dataclasses.replace(r, deadline_s=20.0) if i % 3 == 0 else r
+        for i, r in enumerate(_generated_timed_workload(60))
+    ]
+    nodes = [node(f"node-{i + 1}") for i in range(spec["nodes"])]
+    config = SchedulerConfig(
+        threshold=Threshold(0.8),
+        autoscale_template=template() if spec["autoscale"] else None,
+        resort_after_each_allocation=resort,
+        power_policy=spec["policy"] or PowerPolicy(),
+    )
+    adaptor = AdaptorPolicy(scale_down_grace_s=spec["grace"], retain_min_nodes=spec["retain"])
+    return workload, nodes, config, adaptor, spec["interval"]
+
+
+@pytest.mark.parametrize("scenario", sorted(_REPLAY_SCENARIOS))
+@pytest.mark.parametrize("resort", [False, True])
+@pytest.mark.parametrize("algorithm", ["max-util", "load-balance", "power"])
+def test_timeline_outcome_matches_naive_replay(algorithm, resort, scenario) -> None:
+    workload, nodes, config, adaptor, interval = _replay_inputs(scenario, resort)
+    result = run_timeline(workload, nodes, algorithm, config, adaptor, interval)
+    expected = ref_timeline(workload, nodes, algorithm, config, adaptor, interval)["outcome"]
+
+    assert result.outcome == expected
+    assert list(result.outcome.allocation.items()) == list(expected.allocation.items())
+    assert result.outcome.created_node_ids or not config.autoscale_template
+
+
+@pytest.mark.parametrize("algorithm", ["max-util", "load-balance", "power"])
+def test_timeline_calls_the_scheduler_once_per_arrival(monkeypatch, algorithm) -> None:
+    # The traced benchmark counts scheduler calls through ALGORITHMS and
+    # requires one call, with one decision record, per arrival.
+    schedule = scheduling.ALGORITHMS[algorithm]
+    calls = []
+
+    def counting(queue, *args, **kwargs):
+        outcome = schedule(queue, *args, **kwargs)
+        calls.append((len(queue), len(outcome.trace)))
+        return outcome
+
+    monkeypatch.setitem(scheduling.ALGORITHMS, algorithm, counting)
+    workload = _generated_timed_workload(60)
+    result = _timeline(workload, [node("node-1")], algorithm=algorithm, autoscale=True, grace=5.0)
+    assert calls == [(1, 1)] * len(workload)
+    assert len(result.outcome.trace) == len(workload)
+
+
+def test_benchmark_tracer_seams_exist() -> None:
+    # perfbench/tracer.py wraps attributes of these modules by name; a
+    # rename would otherwise fail only the traced benchmark run.
+    source = (Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py").read_text()
+    modules = {"cli": cli, "scheduling": scheduling, "simulator": simulator}
+    seams = re.findall(r'\((cli|scheduling|simulator), "(\w+)"', source)
+    assert len(seams) >= 11
+    for module, name in seams:
+        assert callable(getattr(modules[module], name, None)), f"{module}.{name}"
