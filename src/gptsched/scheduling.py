@@ -20,9 +20,10 @@ nodes are ordered and judged:
     (full capacity, not the threshold), ties keeping the first seen.
 
 Determinism pins, identical in the naive reference oracle used by tests:
-all sorts are stable with ascending-id tie breaks; the node ordering for
-the first-fit schedulers is computed once up front (created nodes append
-to the end of the scan order) unless resort_after_each_allocation is set;
+every node ordering breaks ties by ascending id; the first-fit schedulers
+scan the node ordering as it stood when the call started (created nodes
+append to the end of the scan order) unless resort_after_each_allocation
+is set, in which case every request scans the current ordering;
 feasibility allows TOLERANCE slack per axis.
 
 When no node fits, a node is created from the configured autoscale
@@ -34,13 +35,21 @@ passed node list is converted on entry and updated in place once at the
 end (entries replaced with their post-allocation values, created nodes
 appended) so callers observe the resulting cluster state; the timeline
 passes its own ClusterState, which is placed into directly.
+
+The state keeps its scan orders: by node id, and by compute utilization
+in each first-fit direction. Each is sorted once, the first time a scan
+asks for it, and afterwards every allocation, release, node creation or
+removal moves only the touched node's entry with bisect. A call on an
+existing state therefore costs O(log N) per placement plus its scan, not
+a sort of every node.
 """
 
 from __future__ import annotations
 
-import bisect
+from bisect import bisect_left, insort
 from dataclasses import dataclass
 from functools import partial
+from operator import itemgetter
 from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple, Union
 
 from .model import (
@@ -68,9 +77,10 @@ class SchedulerConfig:
     """Knobs shared by the three schedulers.
 
     autoscale_template enables node creation when nothing fits.
-    resort_after_each_allocation makes the first-fit schedulers recompute
-    their node ordering before each request whenever an allocation happened
-    since the last sort; the default sorts once up front.
+    resort_after_each_allocation makes the first-fit schedulers scan the
+    current utilization ordering for every request; the default scans the
+    ordering as it stood when the call started, with created nodes
+    appended.
     """
 
     threshold: Threshold = Threshold(0.8)
@@ -179,6 +189,11 @@ class ClusterState(Sequence[Node]):
     place into it directly; the timeline also releases and removes in
     place.
 
+    It also keeps the scan orders: id_order() and util_order(descending)
+    are sorted once, on first use, and from then on every add_node,
+    allocate, release and remove moves only the touched node's entry with
+    bisect. Ids are unique, so each order equals a fresh sort exactly.
+
     As a Sequence it is a live, read-only view of the nodes: len() costs
     O(1), and a Node value is built only when an entry is indexed or
     iterated.
@@ -186,7 +201,7 @@ class ClusterState(Sequence[Node]):
 
     __slots__ = (
         "policy", "ids", "index", "templates", "uc", "um", "us", "cc", "cm", "cs",
-        "pidle", "pmax", "alloc", "power", "held",
+        "pidle", "pmax", "alloc", "power", "held", "by_id", "by_util", "id_sequence", "new_ids",
     )
 
     def __init__(self, nodes: Sequence[Node], policy: PowerPolicy = DEFAULT_POWER_POLICY) -> None:
@@ -206,6 +221,13 @@ class ClusterState(Sequence[Node]):
         self.alloc: List[Set[str]] = []
         self.power: List[float] = []
         self.held: Set[str] = set()
+        # The scan orders built so far; util orders are keyed by direction.
+        self.by_id: Optional[List[Tuple[str, int]]] = None
+        self.by_util: Dict[bool, List[Tuple[float, str, int]]] = {}
+        # The id sequence known to hold every id of the state, and the ids
+        # added since it last saw them.
+        self.id_sequence: Optional[NodeIdSequence] = None
+        self.new_ids: Set[str] = set()
         for node in nodes:
             i = self.add_node(node.id, node.template)
             self.uc[i], self.um[i], self.us[i] = node.utilization.as_tuple()
@@ -238,11 +260,56 @@ class ClusterState(Sequence[Node]):
         else:
             self.power[i] = self.pidle[i] + (self.pmax[i] - self.pidle[i]) * self.uc[i]
 
+    def id_order(self) -> List[Tuple[str, int]]:
+        """(id, index) of every node in ascending id order, kept live."""
+
+        if self.by_id is None:
+            self.by_id = sorted(zip(self.ids, range(len(self.ids))))
+        return self.by_id
+
+    def util_order(self, descending: bool) -> List[Tuple[float, str, int]]:
+        """util_entry of every node in ascending order, kept live: by
+        descending compute utilization when descending is set, else by
+        ascending utilization, ties by ascending id."""
+
+        order = self.by_util.get(descending)
+        if order is None:
+            order = self.by_util[descending] = sorted(
+                [self.util_entry(i, descending) for i in range(len(self.ids))]
+            )
+        return order
+
+    def util_entry(self, i: int, descending: bool) -> Tuple[float, str, int]:
+        """Node i's entry in a utilization order: (key, id, index)."""
+
+        return (-self.uc[i] if descending else self.uc[i], self.ids[i], i)
+
+    def _move(self, i: int, old_uc: float) -> None:
+        """Move node i's utilization-order entries from old_uc to its
+        current utilization."""
+
+        node_id = self.ids[i]
+        for descending, order in self.by_util.items():
+            del order[bisect_left(order, (-old_uc if descending else old_uc, node_id))]
+            insort(order, self.util_entry(i, descending))
+
+    def reserve_ids(self, sequence: NodeIdSequence) -> None:
+        """Make sequence skip every id of the state: all of them the first
+        time, then only the ids added since the same sequence last came."""
+
+        if sequence is self.id_sequence:
+            sequence.reserve(self.new_ids)
+        else:
+            sequence.reserve(self.ids)
+            self.id_sequence = sequence
+        self.new_ids.clear()
+
     def add_node(self, node_id: str, template: NodeTemplate) -> int:
         """Append an empty node; returns its index."""
 
         cap = template.capacity
-        self.index[node_id] = len(self.ids)
+        i = len(self.ids)
+        self.index[node_id] = i
         self.ids.append(node_id)
         self.templates.append(template)
         self.uc.append(0.0)
@@ -255,8 +322,13 @@ class ClusterState(Sequence[Node]):
         self.pmax.append(template.p_max_w)
         self.alloc.append(set())
         self.power.append(0.0)
-        self._price(len(self.ids) - 1)
-        return len(self.ids) - 1
+        self._price(i)
+        self.new_ids.add(node_id)
+        if self.by_id is not None:
+            insort(self.by_id, (node_id, i))
+        for descending, order in self.by_util.items():
+            insort(order, self.util_entry(i, descending))
+        return i
 
     def allocate(self, i: int, request_id: str, demand: ResourceVector) -> UtilizationVector:
         """Place a demand on node i; returns it as percentages of the node."""
@@ -264,9 +336,12 @@ class ClusterState(Sequence[Node]):
         pct = UtilizationVector(
             demand.compute / self.cc[i], demand.memory_gib / self.cm[i], demand.storage_gib / self.cs[i]
         )
-        self.uc[i] += pct.compute
+        old_uc = self.uc[i]
+        self.uc[i] = old_uc + pct.compute
         self.um[i] += pct.memory
         self.us[i] += pct.storage
+        if self.by_util:
+            self._move(i, old_uc)
         self.alloc[i].add(request_id)
         self.held.add(request_id)
         self._price(i)
@@ -282,12 +357,15 @@ class ClusterState(Sequence[Node]):
             raise NotAllocatedError(f"request {request_id!r} not allocated on {node_id!r}")
         alloc.remove(request_id)
         self.held.discard(request_id)
+        old_uc = self.uc[i]
         if alloc:
-            self.uc[i] = max(0.0, self.uc[i] - pct.compute)
+            self.uc[i] = max(0.0, old_uc - pct.compute)
             self.um[i] = max(0.0, self.um[i] - pct.memory)
             self.us[i] = max(0.0, self.us[i] - pct.storage)
         else:
             self.uc[i] = self.um[i] = self.us[i] = 0.0
+        if self.by_util:
+            self._move(i, old_uc)
         self._price(i)
         return not alloc
 
@@ -302,59 +380,66 @@ class ClusterState(Sequence[Node]):
         ):
             del column[i]
         self.index = {nid: j for j, nid in enumerate(self.ids)}
+        self.new_ids.discard(node_id)
+        # Later nodes move down one index; the orders keep their sequence.
+        if self.by_id is not None:
+            self.by_id[:] = [(nid, j - (j > i)) for nid, j in self.by_id if j != i]
+        for order in self.by_util.values():
+            order[:] = [(key, nid, j - (j > i)) for key, nid, j in order if j != i]
 
 
 # What a scan returns: the chosen index or -1, the scanned node ids and the
 # power estimates of the candidates.
 _Pick = Tuple[int, Tuple[str, ...], Tuple[Tuple[str, float], ...]]
 
+_entry_id = itemgetter(1)
+
 
 class _FirstFit:
-    """Scan order and choice rule of the two threshold schedulers."""
+    """Scan order and choice rule of the two threshold schedulers.
+
+    A resort scan reads the state's live utilization order, so each request
+    sees the current ordering. A sort-once scan copies the live order at
+    call start and appends the nodes it creates.
+    """
 
     def __init__(self, state: ClusterState, config: SchedulerConfig, descending: bool) -> None:
-        ids, uc = state.ids, state.uc
-        if descending:
-            self.key: Callable[[int], Tuple[float, str]] = lambda i: (-uc[i], ids[i])
-        else:
-            self.key = lambda i: (uc[i], ids[i])
+        live = state.util_order(descending)
         self.state = state
-        self.order = sorted(range(len(ids)), key=self.key)
-        self.limit = config.threshold.value + TOLERANCE
+        self.descending = descending
         self.resort = config.resort_after_each_allocation
-        self.dirty = False
+        self.order = live if self.resort else list(live)
+        self.limit = config.threshold.value + TOLERANCE
 
     def pick(self, dc: float, dm: float, ds: float) -> _Pick:
         order, limit = self.order, self.limit
-        if self.resort and self.dirty:
-            order.sort(key=self.key)
-            self.dirty = False
         state = self.state
-        ids, uc, um, us = state.ids, state.uc, state.um, state.us
+        uc, um, us = state.uc, state.um, state.us
         cc, cm, cs = state.cc, state.cm, state.cs
-        for pos, i in enumerate(order):
+        for pos, (_, _, i) in enumerate(order):
             if (
                 uc[i] + dc / cc[i] <= limit
                 and um[i] + dm / cm[i] <= limit
                 and us[i] + ds / cs[i] <= limit
             ):
-                self.dirty = True
-                return i, tuple(map(ids.__getitem__, order[: pos + 1])), ()
-        return -1, tuple(map(ids.__getitem__, order)), ()
+                return i, tuple(map(_entry_id, order[: pos + 1])), ()
+        return -1, tuple(map(_entry_id, order)), ()
 
     def created(self, i: int) -> None:
-        self.order.append(i)
-        self.dirty = True
+        # add_node already put the node into the live order.
+        if not self.resort:
+            self.order.append(self.state.util_entry(i, self.descending))
 
 
 class _MinPowerDelta:
-    """Scan order and choice rule of the power scheduler."""
+    """Scan order and choice rule of the power scheduler: the state's live
+    id order."""
 
     def __init__(self, state: ClusterState, config: SchedulerConfig) -> None:
         self.state = state
         self.absolute = config.power_policy.mode is PowerMode.ABSOLUTE_AFTER
         self.limit = 1.0 + TOLERANCE
-        self.id_order: List[Tuple[str, int]] = sorted((nid, i) for i, nid in enumerate(state.ids))
+        self.id_order = state.id_order()
         # The scan covers every node, so the scanned tuple only changes when
         # a node is created; share one tuple between creations.
         self.scanned: Optional[Tuple[str, ...]] = None
@@ -387,7 +472,7 @@ class _MinPowerDelta:
         return best, self.scanned, tuple(estimates)
 
     def created(self, i: int) -> None:
-        bisect.insort(self.id_order, (self.state.ids[i], i))
+        # add_node already put the node into the live id order.
         self.scanned = None
 
 
@@ -413,7 +498,7 @@ def _schedule(
             raise ValidationError(f"request {request.id!r} is already allocated on a node")
     demands, ordered = _resolve_and_order(queue, coeffs)
     seq = id_sequence if id_sequence is not None else NodeIdSequence()
-    seq.reserve(state.ids)
+    state.reserve_ids(seq)
     scan = make_scan(state, config)
     template = config.autoscale_template
 

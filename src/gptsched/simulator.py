@@ -66,6 +66,10 @@ class EventKind(str, Enum):
 # Heap ranks, the EventKind order above.
 _DEPARTURE, _ARRIVAL, _SNAPSHOT, _SCALE_CHECK = range(4)
 
+# A run whose snapshot grid could hold more points than this is refused
+# before it starts: every point writes one row per live node.
+MAX_SNAPSHOT_POINTS = 100_000
+
 
 @dataclass(frozen=True)
 class SimEvent:
@@ -190,11 +194,23 @@ class _Timeline:
         if not snapshot_interval_s > 0.0:
             raise ValidationError(f"snapshot_interval_s must be > 0, got {snapshot_interval_s!r}")
         validate_unique_ids((r.id for r in workload), "request")
+        last_departure = 0.0
         for request in workload:
             if request.arrival_s is None or request.duration_s is None:
                 raise ValidationError(f"request {request.id!r} lacks arrival_s/duration_s")
-            if not math.isfinite(request.arrival_s + request.duration_s):
+            departure = request.arrival_s + request.duration_s
+            if not math.isfinite(departure):
                 raise ValidationError(f"request {request.id!r} departs at a non-finite time")
+            last_departure = max(last_departure, departure)
+        # No event, so no grid point, comes after the last departure plus
+        # the scale-down grace.
+        horizon_bound = last_departure + adaptor.scale_down_grace_s
+        if workload and horizon_bound / snapshot_interval_s >= MAX_SNAPSHOT_POINTS:
+            raise ValidationError(
+                f"snapshot interval {snapshot_interval_s!r} s needs more than "
+                f"{MAX_SNAPSHOT_POINTS} grid points up to t={horizon_bound!r} s; "
+                "use a larger interval"
+            )
         for node in nodes:
             if node.allocated:
                 raise ValidationError(
@@ -283,11 +299,11 @@ class _Timeline:
 
     def _snapshot(self, time_s: float) -> None:
         state = self.state
-        for i in sorted(range(len(state)), key=state.ids.__getitem__):
+        for node_id, i in state.id_order():
             self.snapshots.append(
                 SnapshotRow(
                     time_s=time_s,
-                    node_id=state.ids[i],
+                    node_id=node_id,
                     compute_util=state.uc[i],
                     memory_util=state.um[i],
                     storage_util=state.us[i],

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import resource
 import subprocess
 import sys
 
@@ -195,6 +196,28 @@ def test_simulate_departure_overflow_exits_2(tmp_path) -> None:
     )
     assert proc.returncode == 2, proc.stderr
     assert "non-finite" in proc.stderr
+
+
+def _limit_memory() -> None:
+    # Caps only the child: an unrefused grid fails with MemoryError instead
+    # of growing until the timeout.
+    resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+
+def test_simulate_oversized_snapshot_grid_exits_2(tmp_path) -> None:
+    trace = tmp_path / "timed.jsonl"
+    trace.write_text(TIMED_TRACE, encoding="utf-8")
+    proc = subprocess.run(
+        [sys.executable, "-m", "gptsched.cli", "simulate", "--workload", str(trace),
+         "--algorithm", "max-util", "--snapshot-interval", "1e-6", "--out", str(tmp_path / "sim")],
+        capture_output=True,
+        text=True,
+        timeout=60,
+        preexec_fn=_limit_memory,
+    )
+    assert proc.returncode == 2, proc.stderr
+    assert "grid points" in proc.stderr and "larger interval" in proc.stderr
+    assert not (tmp_path / "sim").exists()
 
 
 def test_compare_writes_three_rows_identically(tmp_path) -> None:

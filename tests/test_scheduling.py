@@ -6,9 +6,12 @@ import random
 from dataclasses import replace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gptsched import (
     NodeIdSequence,
+    ResourceVector,
     PowerMode,
     PowerPolicy,
     SchedulerConfig,
@@ -24,7 +27,7 @@ from gptsched import (
     schedule_power_efficient,
     utilization_stddev,
 )
-from gptsched.scheduling import REASON_INFEASIBLE_ON_ANY_NODE, REASON_NO_FEASIBLE_NODE
+from gptsched.scheduling import REASON_INFEASIBLE_ON_ANY_NODE, REASON_NO_FEASIBLE_NODE, ClusterState
 
 from helpers import node, profiled_request, random_instance, request, template
 from naive_reference import ref_load_balance, ref_max_util, ref_power_efficient
@@ -367,3 +370,87 @@ def test_threshold_schedulers_differ_only_when_resorting() -> None:
         spread, spread_sd = run(schedule_load_balance, resort)
         assert consolidated != spread
         assert consolidated_sd > spread_sd
+
+
+def _assert_orders_sorted(state: ClusterState) -> None:
+    # Every order built so far equals a fresh sort of the arrays.
+    ids, uc = state.ids, state.uc
+    if state.by_id is not None:
+        assert state.by_id == sorted((ids[i], i) for i in range(len(ids)))
+    for descending, order in state.by_util.items():
+        keys = [-u for u in uc] if descending else list(uc)
+        assert order == sorted((keys[i], ids[i], i) for i in range(len(ids)))
+
+
+_NODE_IDS = ("a", "b", "c", "d", "e", "f")
+_STATE_OPS = st.lists(
+    st.one_of(
+        st.tuples(st.just("add"), st.sampled_from(_NODE_IDS)),
+        st.tuples(st.just("allocate"), st.integers(0, 11), st.sampled_from([0.0, 10.0, 25.0, 40.0])),
+        st.tuples(st.just("release"), st.integers(0, 30)),
+        st.tuples(st.just("remove"), st.integers(0, 11)),
+        st.tuples(st.just("order"), st.sampled_from(["id", "descending", "ascending"])),
+    ),
+    max_size=40,
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.lists(st.sampled_from([0.0, 0.0, 0.1, 0.25]), max_size=4),
+    st.sets(st.sampled_from(["id", "descending", "ascending"])),
+    _STATE_OPS,
+)
+def test_cluster_state_orders_stay_sorted(initial_util, built, ops) -> None:
+    nodes = [node(_NODE_IDS[k], template(), (u, u, u)) for k, u in enumerate(initial_util)]
+    state = ClusterState(nodes)
+    orders = {
+        "id": state.id_order,
+        "descending": lambda: state.util_order(True),
+        "ascending": lambda: state.util_order(False),
+    }
+    live = {name: orders[name]() for name in built}
+    held = []
+    for step, op in enumerate(ops):
+        kind = op[0]
+        if kind == "add" and op[1] not in state.index:
+            state.add_node(op[1], template())
+        elif kind == "allocate" and len(state):
+            i = op[1] % len(state)
+            c = op[2]
+            pct = state.allocate(i, f"r{step}", ResourceVector(c, c / 2, c / 4))
+            held.append((state.ids[i], f"r{step}", pct))
+        elif kind == "release" and held:
+            node_id, request_id, pct = held.pop(op[1] % len(held))
+            state.release(node_id, request_id, pct)
+        elif kind == "remove" and len(state):
+            node_id = state.ids[op[1] % len(state)]
+            state.remove(node_id)
+            held = [h for h in held if h[0] != node_id]
+        elif kind == "order":
+            live.setdefault(op[1], orders[op[1]]())
+        _assert_orders_sorted(state)
+        for name, order in live.items():
+            assert orders[name]() is order
+
+
+def test_state_reserves_its_current_ids_in_a_returning_sequence() -> None:
+    # A sequence that comes back for the same state skips the ids added
+    # since its last call, and only those still in the state, as a sequence
+    # reserving every current id on every call would.
+    state = ClusterState([node("n1")])
+    seq = NodeIdSequence()
+    config = _config(autoscale=True)
+    big = 70.0  # fills a node past the point where another fits
+
+    def place(rid: str) -> str:
+        return schedule_max_util([request(rid, big)], state, config, id_sequence=seq).allocation[rid]
+
+    assert place("r1") == "n1"
+    assert place("r2") == "auto-1"
+    state.add_node("auto-2", template())
+    state.add_node("auto-3", template())
+    state.remove("auto-3")
+    assert place("r3") == "auto-2"
+    assert place("r4") == "auto-3"
+    assert place("r5") == "auto-4"

@@ -3,10 +3,13 @@
 from __future__ import annotations
 
 import dataclasses
+import math
 import re
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gptsched import (
     AdaptorPolicy,
@@ -15,6 +18,7 @@ from gptsched import (
     GeneratorSpec,
     LognormalSpec,
     Node,
+    NodeIdSequence,
     PowerMode,
     PowerPolicy,
     SchedulerConfig,
@@ -27,7 +31,7 @@ from gptsched import (
     run_timeline,
 )
 from gptsched import cli, scheduling, simulator
-from gptsched.simulator import SnapshotRow
+from gptsched.simulator import MAX_SNAPSHOT_POINTS, SnapshotRow
 
 from helpers import node, request, template
 from naive_reference import ref_timeline
@@ -446,3 +450,128 @@ def test_benchmark_tracer_seams_exist() -> None:
     assert len(seams) >= 11
     for module, name in seams:
         assert callable(getattr(modules[module], name, None)), f"{module}.{name}"
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.lists(
+        st.tuples(
+            st.integers(0, 20),
+            st.integers(1, 8),
+            st.sampled_from([0.0, 10.0, 30.0, 30.0, 50.0, 60.0, 90.0]),
+        ),
+        min_size=1,
+        max_size=16,
+    ),
+    st.integers(0, 3),
+    st.sampled_from(["max-util", "load-balance", "power"]),
+    st.booleans(),
+    st.sampled_from([0.0, 2.0, 5.0]),
+    st.integers(0, 2),
+    st.sampled_from([PowerPolicy(), PowerPolicy(mode=PowerMode.ABSOLUTE_AFTER, off_when_empty=False)]),
+)
+def test_timeline_matches_naive_replay_on_random_workloads(
+    items, node_count, algorithm, resort, grace, retain, policy
+) -> None:
+    # Integer times give same-time arrivals, departures and scale checks;
+    # a short grace retires nodes that autoscale later re-creates.
+    workload = [
+        request(f"r{k:02d}", c, c / 2, c / 4, arrival_s=float(a), duration_s=float(d))
+        for k, (a, d, c) in enumerate(items)
+    ]
+    nodes = [node(f"node-{i + 1}") for i in range(node_count)]
+    config = SchedulerConfig(
+        threshold=Threshold(0.8),
+        autoscale_template=template(),
+        resort_after_each_allocation=resort,
+        power_policy=policy,
+    )
+    adaptor = AdaptorPolicy(scale_down_grace_s=grace, retain_min_nodes=retain)
+    seen = []
+    result = run_timeline(
+        workload, nodes, algorithm, config, adaptor, 1.5, on_event=lambda e, view: seen.append(tuple(view))
+    )
+    expected = ref_timeline(workload, nodes, algorithm, config, adaptor, 1.5)
+
+    assert result.events == expected["events"]
+    assert result.snapshots == expected["snapshots"]
+    assert result.power_steps == expected["power_steps"]
+    assert result.outcome == expected["outcome"]
+    assert result.report == expected["report"]
+    assert seen == expected["nodes_at_event"]
+
+
+class _CountedId(str):
+    """A node id that counts its comparisons, so a test can tell a sort or
+    a bisect over node ids from a lookup."""
+
+    comparisons = 0
+
+    def _count(compare):  # type: ignore[no-untyped-def]
+        def counted(self, other):  # type: ignore[no-untyped-def]
+            _CountedId.comparisons += 1
+            return compare(self, other)
+
+        return counted
+
+    __lt__ = _count(str.__lt__)
+    __le__ = _count(str.__le__)
+    __gt__ = _count(str.__gt__)
+    __ge__ = _count(str.__ge__)
+    __eq__ = _count(str.__eq__)
+    __ne__ = _count(str.__ne__)
+    __hash__ = str.__hash__
+    del _count
+
+
+@pytest.mark.parametrize("resort", [False, True])
+@pytest.mark.parametrize("algorithm", ["max-util", "load-balance", "power"])
+def test_timeline_arrival_does_not_sort_or_reserve_every_node(monkeypatch, algorithm, resort) -> None:
+    # M arrivals on N >> M nodes: per-arrival work may grow with log N and
+    # with the scan, but must not re-sort or re-reserve all N nodes.
+    n, m = 3000, 60
+    nodes = [Node(id=_CountedId(f"n{i:04d}"), template=template()) for i in range(n)]
+    workload = [request(f"r{k:03d}", 10.0, arrival_s=float(k), duration_s=30.0) for k in range(m)]
+    reserved = 0
+    reserve = NodeIdSequence.reserve
+
+    def counting_reserve(self, ids) -> None:
+        nonlocal reserved
+        ids = list(ids)
+        reserved += len(ids)
+        reserve(self, ids)
+
+    monkeypatch.setattr(NodeIdSequence, "reserve", counting_reserve)
+    monkeypatch.setattr(_CountedId, "comparisons", 0)
+    config = _config(resort_after_each_allocation=resort)
+    result = run_timeline(workload, nodes, algorithm, config, AdaptorPolicy(scale_down_grace_s=1e6), 1e6)
+    assert len(result.outcome.allocation) == m
+    assert reserved <= n + m
+    assert _CountedId.comparisons <= 6 * n + 16 * m * math.ceil(math.log2(n))
+
+
+def _stop_after(events: int):
+    # on_event guard: a run that was not refused fails after a few events
+    # instead of building millions of snapshot rows.
+    seen = 0
+
+    def on_event(event, view) -> None:
+        nonlocal seen
+        seen += 1
+        assert seen <= events, "oversized snapshot grid was not refused"
+
+    return on_event
+
+
+def test_timeline_refuses_an_oversized_snapshot_grid() -> None:
+    # The last departure is at t=10 and the grace adds 5: at 1e-6 s the
+    # grid would have 15 million points.
+    workload = [request("r1", 10.0, arrival_s=0.0, duration_s=10.0)]
+    limit = 15.0 / MAX_SNAPSHOT_POINTS
+    for interval in (1e-6, limit):
+        with pytest.raises(ValidationError, match="grid points"):
+            _timeline(workload, [node("node-1")], grace=5.0, interval=interval, on_event=_stop_after(100))
+    result = _timeline(workload, [node("node-1")], grace=5.0, interval=limit * 2)
+    assert len(result.snapshots) <= MAX_SNAPSHOT_POINTS
+    # An empty workload has no horizon and no grid.
+    assert _timeline([], [node("node-1")], interval=1e-300).snapshots == ()
