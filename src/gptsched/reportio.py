@@ -7,9 +7,14 @@ CSV output uses the same numeric formatting, a stable column order and LF
 line endings.
 
 Escaped strings are memoized per document, so a decision trace that lists
-the same node ids many times escapes each id once. Every document is built
-in full before its sink is opened: a value that cannot be serialized raises
-ValidationError and leaves an existing output untouched.
+the same node ids many times escapes each id once. A decision's scanned
+ids arrive as a ScanPrefix, a view of an id list that a scan shares
+between its decisions: each shared list is escaped and joined once, and
+each view is written as one slice of that text. Power estimates, lists
+of [node id, watts] pairs, are joined in one step too. Every document is
+built in full before its sink is opened: a value that cannot be
+serialized raises ValidationError and leaves an existing output
+untouched.
 
 Schemas:
 
@@ -33,12 +38,13 @@ from __future__ import annotations
 import csv
 import io
 import math
+from itertools import accumulate
 from json.encoder import encode_basestring
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from .metrics import Report
 from .model import ValidationError
-from .scheduling import AllocationOutcome, DecisionRecord
+from .scheduling import AllocationOutcome, DecisionRecord, ScanPrefix
 from .simulator import SnapshotRow
 from .workload import TextStream, open_text
 
@@ -87,12 +93,20 @@ def canonical_json(value: object) -> str:
     The tree is walked once into one list of chunks, joined at the end.
     Each distinct str is escaped once per call with encode_basestring (what
     json.dumps(s, ensure_ascii=False) applies to a str); a list or tuple of
-    exact strs is joined from the cached escaped forms in one step.
+    exact strs is joined from the cached escaped forms in one step, and a
+    list of [str, float] pairs (power estimates) in one more. A ScanPrefix
+    is written as the array of its ids: each distinct shared id list is
+    escaped and joined once, and every view of it is one slice of that
+    joined text.
     """
 
     chunks: List[str] = []
     append = chunks.append
     memo: Dict[str, str] = {}
+    # id(base) -> [base (held so its id stays unique during the call), its
+    # joined escaped ids, cumulative escaped lengths (computed when a view
+    # shorter than the base first needs them)].
+    shared: Dict[int, List[object]] = {}
 
     def escape(text: str) -> str:
         if type(text) is not str:
@@ -101,6 +115,35 @@ def canonical_json(value: object) -> str:
         if encoded is None:
             encoded = memo[text] = encode_basestring(text)
         return encoded
+
+    def escape_all(texts: Sequence[str]) -> List[str]:
+        if set(map(type, texts)) != {str}:
+            return list(map(escape, texts))
+        try:
+            return list(map(memo.__getitem__, texts))
+        except KeyError:
+            for text in set(texts).difference(memo):
+                memo[text] = encode_basestring(text)
+            return list(map(memo.__getitem__, texts))
+
+    def emit_prefix(view: ScanPrefix) -> None:
+        base, length = view.base, view.length
+        if not length:
+            append("[]")
+            return
+        entry = shared.get(id(base))
+        if entry is None:
+            entry = shared[id(base)] = [base, ",".join(escape_all(base)), None]
+        joined = entry[1]
+        if length < len(base):
+            ends = entry[2]
+            if ends is None:
+                ends = entry[2] = list(accumulate(map(len, escape_all(base))))
+            # The escaped ids plus one comma between each pair.
+            joined = joined[: ends[length - 1] + length - 1]
+        append("[")
+        append(joined)
+        append("]")
 
     def emit(item: object) -> None:
         if item is None:
@@ -124,18 +167,23 @@ def canonical_json(value: object) -> str:
                 emit(child)
                 sep = ","
             append("}" if sep == "," else "{}")
+        elif isinstance(item, ScanPrefix):
+            emit_prefix(item)
         elif isinstance(item, (list, tuple)):
-            if item and set(map(type, item)) == {str}:
-                try:
-                    joined = ",".join(map(memo.__getitem__, item))
-                except KeyError:
-                    for text in set(item).difference(memo):
-                        memo[text] = encode_basestring(text)
-                    joined = ",".join(map(memo.__getitem__, item))
+            types = set(map(type, item))
+            if types == {str}:
                 append("[")
-                append(joined)
+                append(",".join(escape_all(item)))
                 append("]")
                 return
+            if types and types <= {list, tuple} and set(map(len, item)) == {2}:
+                keys, values = zip(*item)
+                if set(map(type, keys)) == {str} and set(map(type, values)) == {float}:
+                    pairs = map(",".join, zip(escape_all(keys), map(format_float, values)))
+                    append("[[")
+                    append("],[".join(pairs))
+                    append("]]")
+                    return
             sep = "["
             for child in item:
                 append(sep)
@@ -198,7 +246,9 @@ def _decision_to_dict(record: DecisionRecord) -> Dict[str, object]:
 
 
 def outcome_to_dict(outcome: AllocationOutcome) -> Dict[str, object]:
-    """AllocationOutcome as a JSON-ready dict; allocation sorted by request id."""
+    """AllocationOutcome as a dict ready for canonical_json; allocation
+    sorted by request id. Each trace entry's scanned is the record's own
+    read-only sequence (a ScanPrefix), not a copy."""
 
     return {
         "allocation": {rid: outcome.allocation[rid] for rid in sorted(outcome.allocation)},

@@ -42,13 +42,27 @@ asks for it, and afterwards every allocation, release, node creation or
 removal moves only the touched node's entry with bisect. A call on an
 existing state therefore costs O(log N) per placement plus its scan, not
 a sort of every node.
+
+A sort-once first-fit call scans linearly for its first request only. At
+its second pick it builds a segment tree of per-axis headroom over its
+scan order (Johnson's O(n log n) first fit, with one maximum per resource
+axis as in vector bin packing), so every later pick finds its node in
+O(log N) and decides it with the same exact test. Resort scans stay
+linear, because their order changes on every pick; the power scheduler
+examines every node by definition.
+
+Within one sort-once call the scan order only grows by appends, so every
+decision's scanned ids are a prefix of one id list: each record holds a
+ScanPrefix view of that list, not a copy.
 """
 
 from __future__ import annotations
 
+import math
 from bisect import bisect_left, insort
 from dataclasses import dataclass
 from functools import partial
+from itertools import islice
 from operator import itemgetter
 from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple, Union
 
@@ -89,19 +103,63 @@ class SchedulerConfig:
     power_policy: PowerPolicy = DEFAULT_POWER_POLICY
 
 
+class ScanPrefix(Sequence[str]):
+    """The first length ids of a shared id list, as a read-only sequence.
+
+    The decisions of one scan share an id list and each wraps a prefix of
+    it, so recording a decision's scanned ids costs O(1). The list may
+    grow after a view is made; the view keeps its length, so its contents
+    never change. A view nothing shares may wrap a tuple instead. len() is
+    O(1); == and hash() agree with the tuple of the same ids, in both
+    directions, and with any other view of the same ids.
+    """
+
+    __slots__ = ("base", "length")
+
+    def __init__(self, base: Sequence[str], length: int) -> None:
+        self.base = base
+        self.length = length
+
+    def __len__(self) -> int:
+        return self.length
+
+    def __getitem__(self, index):  # type: ignore[no-untyped-def]
+        if isinstance(index, slice):
+            return tuple(self.base[: self.length][index])
+        return self.base[range(self.length)[index]]
+
+    def __iter__(self) -> Iterator[str]:
+        return islice(self.base, self.length)
+
+    def __eq__(self, other: object) -> bool:
+        if isinstance(other, ScanPrefix):
+            return self.length == other.length and (self.base is other.base or tuple(self) == tuple(other))
+        if isinstance(other, tuple):
+            return self.length == len(other) and tuple(self) == other
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(tuple(self))
+
+    def __repr__(self) -> str:
+        return f"ScanPrefix({tuple(self)!r})"
+
+
 @dataclass(frozen=True)
 class DecisionRecord:
     """Why one request landed where it did.
 
-    scanned lists node ids in the order they were examined. For the power
-    scheduler, power_estimates holds (node_id, delta_watts) for every
-    capacity-feasible candidate in scan order. A created node carries
-    created_node=True; a rejection carries a reason and no chosen node.
+    scanned holds the node ids in the order they were examined, as a
+    read-only sequence equal to the tuple of those ids (a ScanPrefix from
+    the schedulers). For the power scheduler, power_estimates holds
+    (node_id, delta_watts) for every capacity-feasible candidate in scan
+    order. A created node carries created_node=True; a rejection carries a
+    reason and no chosen node.
     """
 
     request_id: str
     demand: ResourceVector
-    scanned: Tuple[str, ...]
+    scanned: Sequence[str]
     chosen_node_id: Optional[str]
     pct: Optional[UtilizationVector]
     created_node: bool = False
@@ -390,17 +448,110 @@ class ClusterState(Sequence[Node]):
 
 # What a scan returns: the chosen index or -1, the scanned node ids and the
 # power estimates of the candidates.
-_Pick = Tuple[int, Tuple[str, ...], Tuple[Tuple[str, float], ...]]
+_Pick = Tuple[int, ScanPrefix, Tuple[Tuple[str, float], ...]]
 
 _entry_id = itemgetter(1)
+_entry_index = itemgetter(2)
+
+
+class _HeadroomTree:
+    """Per-axis maximum headroom over the positions of a first-fit order.
+
+    A segment tree over a scan order that only grows by appends: leaf p
+    holds, per resource axis, the absolute headroom (limit + TOLERANCE -
+    u) * capacity of the node at position p, each inner node the maximum
+    of its children, and unused leaves -inf. A node that passes the exact
+    test u + d / c <= limit has headroom of at least d on every axis: the
+    extra TOLERANCE adds 1e-9 of a capacity, against rounding of about
+    1e-16 of a capacity in either expression. So a subtree whose maximum
+    is below the demand on some axis holds no feasible node, and
+    candidates() yields every feasible position, in order, plus at most
+    the few that fail the exact test only within that margin.
+    """
+
+    __slots__ = ("state", "order", "margin", "size", "hc", "hm", "hs")
+
+    def __init__(self, state: ClusterState, order: List[Tuple[float, str, int]], limit: float) -> None:
+        self.state = state
+        self.order = order
+        self.margin = limit + TOLERANCE
+        self.size = 1
+        self._build()
+
+    def _axes(self) -> Tuple[Tuple[List[float], List[float]], ...]:
+        state = self.state
+        return ((state.uc, state.cc), (state.um, state.cm), (state.us, state.cs))
+
+    def _build(self) -> None:
+        while self.size < len(self.order):
+            self.size *= 2
+        margin, size = self.margin, self.size
+        index = list(map(_entry_index, self.order))
+        pad = [-math.inf] * (size - len(index))
+        levels = []
+        for util, cap in self._axes():
+            tree = [-math.inf] * size + [(margin - util[i]) * cap[i] for i in index] + pad
+            half = size // 2
+            while half:
+                children = tree[2 * half : 4 * half]
+                tree[half : 2 * half] = map(max, children[::2], children[1::2])
+                half //= 2
+            levels.append(tree)
+        self.hc, self.hm, self.hs = levels
+
+    def refresh(self, pos: int) -> None:
+        """Re-read the node at pos after its utilization changed or it was
+        appended; the tree doubles when pos falls outside it."""
+
+        if pos >= self.size:
+            self.size *= 2
+            self._build()
+            return
+        i, k = self.order[pos][2], self.size + pos
+        for tree, (util, cap) in zip((self.hc, self.hm, self.hs), self._axes()):
+            tree[k] = (self.margin - util[i]) * cap[i]
+            j = k
+            while j > 1:
+                j >>= 1
+                left, right = tree[2 * j], tree[2 * j + 1]
+                top = left if left > right else right
+                if tree[j] == top:
+                    break
+                tree[j] = top
+
+    def candidates(self, dc: float, dm: float, ds: float) -> Iterator[Tuple[int, int]]:
+        """(position, node index) of every leaf with headroom for the
+        demand on all three axes, in scan order."""
+
+        hc, hm, hs, size, order = self.hc, self.hm, self.hs, self.size, self.order
+        k = 1
+        while True:
+            if hc[k] >= dc and hm[k] >= dm and hs[k] >= ds:
+                if k < size:
+                    k *= 2
+                    continue
+                yield k - size, order[k - size][2]
+            # Next subtree in order: climb while k is a right child.
+            while k & 1:
+                k >>= 1
+            if not k:
+                return
+            k += 1
 
 
 class _FirstFit:
     """Scan order and choice rule of the two threshold schedulers.
 
     A resort scan reads the state's live utilization order, so each request
-    sees the current ordering. A sort-once scan copies the live order at
-    call start and appends the nodes it creates.
+    sees the current ordering, and scans it linearly. A sort-once scan
+    copies the live order at call start and appends the nodes it creates;
+    its first pick scans linearly, and from its second pick a
+    _HeadroomTree over the order yields the candidates. Either way each
+    candidate is decided by the one exact test in pick().
+
+    A sort-once order only grows, so from the second pick on the scanned
+    ids of its decisions are prefixes of one id list, extended only as far
+    as a pick has reached. A linear pick wraps a fresh tuple of its own.
     """
 
     def __init__(self, state: ClusterState, config: SchedulerConfig, descending: bool) -> None:
@@ -410,25 +561,55 @@ class _FirstFit:
         self.resort = config.resort_after_each_allocation
         self.order = live if self.resort else list(live)
         self.limit = config.threshold.value + TOLERANCE
+        self.linear = True
+        self.tree: Optional[_HeadroomTree] = None
+        # Position of the node the last pick chose or created: the skeleton
+        # allocates onto it before the next pick, which refreshes its leaf.
+        self.last = -1
+        self.ids: List[str] = []
 
     def pick(self, dc: float, dm: float, ds: float) -> _Pick:
-        order, limit = self.order, self.limit
-        state = self.state
+        state, limit = self.state, self.limit
         uc, um, us = state.uc, state.um, state.us
         cc, cm, cs = state.cc, state.cm, state.cs
-        for pos, (_, _, i) in enumerate(order):
+        for pos, i in self._candidates(dc, dm, ds):
             if (
                 uc[i] + dc / cc[i] <= limit
                 and um[i] + dm / cm[i] <= limit
                 and us[i] + ds / cs[i] <= limit
             ):
-                return i, tuple(map(_entry_id, order[: pos + 1])), ()
-        return -1, tuple(map(_entry_id, order)), ()
+                self.last = pos
+                return i, self._scanned(pos + 1), ()
+        self.last = -1
+        return -1, self._scanned(len(self.order)), ()
+
+    def _candidates(self, dc: float, dm: float, ds: float) -> Iterable[Tuple[int, int]]:
+        if self.linear:
+            # A one-request call (a timeline arrival) never pays for a tree.
+            self.linear = self.resort
+            return enumerate(map(_entry_index, self.order))
+        if self.tree is None:
+            self.tree = _HeadroomTree(self.state, self.order, self.limit)
+        elif self.last >= 0:
+            self.tree.refresh(self.last)
+        return self.tree.candidates(dc, dm, ds)
+
+    def _scanned(self, length: int) -> ScanPrefix:
+        if self.tree is None:
+            # A linear pick: every resort pick and a call's first, the only
+            # one of a timeline arrival. An exact-size tuple is the smallest
+            # base for a view that nothing else shares.
+            return ScanPrefix(tuple(map(_entry_id, self.order[:length])), length)
+        ids = self.ids
+        if len(ids) < length:
+            ids.extend(map(_entry_id, self.order[len(ids) : length]))
+        return ScanPrefix(ids, length)
 
     def created(self, i: int) -> None:
         # add_node already put the node into the live order.
         if not self.resort:
             self.order.append(self.state.util_entry(i, self.descending))
+            self.last = len(self.order) - 1
 
 
 class _MinPowerDelta:
@@ -440,9 +621,9 @@ class _MinPowerDelta:
         self.absolute = config.power_policy.mode is PowerMode.ABSOLUTE_AFTER
         self.limit = 1.0 + TOLERANCE
         self.id_order = state.id_order()
-        # The scan covers every node, so the scanned tuple only changes when
-        # a node is created; share one tuple between creations.
-        self.scanned: Optional[Tuple[str, ...]] = None
+        # The scan covers every node, so the scanned ids only change when a
+        # node is created; share one list between creations.
+        self.scanned: Optional[ScanPrefix] = None
 
     def pick(self, dc: float, dm: float, ds: float) -> _Pick:
         state, limit, absolute = self.state, self.limit, self.absolute
@@ -468,7 +649,8 @@ class _MinPowerDelta:
                 best_delta = delta
                 best = i
         if self.scanned is None:
-            self.scanned = tuple(entry[0] for entry in self.id_order)
+            ids = [entry[0] for entry in self.id_order]
+            self.scanned = ScanPrefix(ids, len(ids))
         return best, self.scanned, tuple(estimates)
 
     def created(self, i: int) -> None:

@@ -15,6 +15,9 @@ types; outputs are plain dicts:
      "created": [node_id, ...],
      "nodes": [{"id": ..., "util": [c, m, s], "allocated": set()}, ...]}
 
+ref_first_fit_records transcribes the sort-once first fit once more and
+returns its per-request decision records, scanned ids included.
+
 ref_timeline is the reference for the timeline simulator: it replays a
 timed workload on a plain list of Node values through the public
 list-based schedulers and value functions, and returns the package's own
@@ -192,6 +195,55 @@ def ref_load_balance(
     """First fit over nodes sorted by ascending compute utilization."""
 
     return _run_threshold(requests, nodes, threshold, False, autoscale_template, coeffs, resort)
+
+
+def ref_first_fit_records(
+    requests: Sequence[GptRequest],
+    nodes: Sequence[Node],
+    threshold: float,
+    descending: bool,
+    autoscale_template: Optional[NodeTemplate] = None,
+    coeffs: ProfilerCoefficients = ProfilerCoefficients(),
+) -> List[tuple]:
+    """Sort-once first fit, one record per request in decision order:
+    (request_id, scanned ids, chosen id or None, created, pct or None,
+    rejection reason or None). Every node examined is listed in scanned,
+    the chosen one last; a created node follows a full failed scan."""
+
+    demands = _demands(requests, coeffs)
+    states = [_node_state(node) for node in nodes]
+    if descending:
+        states.sort(key=lambda s: (-s["util"][0], s["id"]))
+    else:
+        states.sort(key=lambda s: (s["util"][0], s["id"]))
+    existing_ids = {s["id"] for s in states}
+    records: List[tuple] = []
+
+    for request in _sorted_requests(requests, demands):
+        demand = demands[request.id]
+        scanned: List[str] = []
+        chosen = None
+        for state in states:
+            scanned.append(state["id"])
+            if _fits(state, _percentages(demand, state), threshold):
+                chosen = state
+                break
+        created = False
+        if chosen is None and autoscale_template is not None:
+            fresh = _template_state(autoscale_template, _next_auto_id(existing_ids))
+            if _fits(fresh, _percentages(demand, fresh), threshold):
+                states.append(fresh)
+                existing_ids.add(fresh["id"])
+                chosen = fresh
+                created = True
+        if chosen is None:
+            reason = "no-feasible-node" if autoscale_template is None else "infeasible-on-any-node"
+            records.append((request.id, tuple(scanned), None, False, None, reason))
+            continue
+        pct = _percentages(demand, chosen)
+        _allocate(chosen, request.id, pct)
+        records.append((request.id, tuple(scanned), chosen["id"], created, tuple(pct), None))
+    return records
 
 
 def _ref_node_power(state: dict, policy: PowerPolicy) -> float:

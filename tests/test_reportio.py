@@ -30,6 +30,7 @@ from gptsched.reportio import (
     write_outcome_document,
     write_report,
 )
+from gptsched.scheduling import ScanPrefix
 from gptsched.simulator import SnapshotRow
 
 from helpers import node, request, template
@@ -274,6 +275,63 @@ def test_canonical_json_deep_nesting_matches_reference_encoder() -> None:
         tree = {f"k{depth % 3}": [tree, "x"], "t": ()} if depth % 2 else (tree,)
     assert canonical_json(tree) == ref_canonical_json(tree)
     assert canonical_json([[], {}, (), ""]) == ref_canonical_json([[], {}, (), ""]) == '[[],{},[],""]'
+
+
+def _plain(tree: object) -> object:
+    # The tree with every ScanPrefix as the tuple of its ids, for the
+    # reference encoder.
+    if isinstance(tree, ScanPrefix):
+        return tuple(tree)
+    if isinstance(tree, dict):
+        return {key: _plain(child) for key, child in tree.items()}
+    if isinstance(tree, (list, tuple)):
+        return type(tree)(_plain(child) for child in tree)
+    return tree
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.lists(_strings, max_size=8),
+    st.lists(st.integers(min_value=0, max_value=8), max_size=6),
+    st.lists(_strings, max_size=3),
+)
+def test_scan_prefix_views_serialize_as_their_tuples(base, lengths, extra) -> None:
+    views = [ScanPrefix(base, min(n, len(base))) for n in lengths]
+    tree = {
+        "views": views,
+        "nested": [{"scanned": view, "n": len(view)} for view in reversed(views)],
+        # The same ids over another list and over a tuple, and a list
+        # sharing some of them.
+        "copy": ScanPrefix(list(base), len(base)),
+        "tuple": ScanPrefix(tuple(base), len(base)),
+        "strings": extra + base,
+    }
+    assert canonical_json(tree) == ref_canonical_json(_plain(tree))
+
+
+_pair_values = st.floats(allow_nan=False, allow_infinity=False) | st.just(-0.0) | _scalars
+_pairs = st.lists(
+    st.tuples(_strings, st.floats(allow_nan=False, allow_infinity=False) | st.just(-0.0)).map(list)
+    | st.tuples(_strings, _pair_values)
+    | st.lists(_pair_values, min_size=1, max_size=3),
+    min_size=1,
+    max_size=6,
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_pairs)
+def test_pair_lists_match_reference_encoder(pairs) -> None:
+    # Mostly [str, float] pairs as power estimates are written, with
+    # tuples, other values and other lengths mixed in.
+    tree = {"power_estimates": pairs, "again": [pair for pair in pairs if type(pair) is list]}
+    assert canonical_json(tree) == ref_canonical_json(tree)
+
+
+def test_pair_lists_reject_non_finite_values() -> None:
+    for bad in (float("nan"), float("inf")):
+        with pytest.raises(ValidationError):
+            canonical_json([["n1", 1.0], ["n2", bad]])
 
 
 @pytest.mark.parametrize(

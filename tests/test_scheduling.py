@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import replace
 
@@ -27,10 +28,11 @@ from gptsched import (
     schedule_power_efficient,
     utilization_stddev,
 )
-from gptsched.scheduling import REASON_INFEASIBLE_ON_ANY_NODE, REASON_NO_FEASIBLE_NODE, ClusterState
+from gptsched.model import TOLERANCE
+from gptsched.scheduling import REASON_INFEASIBLE_ON_ANY_NODE, REASON_NO_FEASIBLE_NODE, ClusterState, ScanPrefix
 
 from helpers import node, profiled_request, random_instance, request, template
-from naive_reference import ref_load_balance, ref_max_util, ref_power_efficient
+from naive_reference import ref_first_fit_records, ref_load_balance, ref_max_util, ref_power_efficient
 
 
 def _config(threshold: float = 0.8, autoscale: bool = False, **kwargs: object) -> SchedulerConfig:
@@ -454,3 +456,182 @@ def test_state_reserves_its_current_ids_in_a_returning_sequence() -> None:
     assert place("r3") == "auto-2"
     assert place("r4") == "auto-3"
     assert place("r5") == "auto-4"
+
+
+def test_scan_prefix_equals_and_hashes_like_the_tuple_of_its_ids() -> None:
+    base = ["a", "b", "c"]
+    view = ScanPrefix(base, 2)
+    assert view == ("a", "b") and ("a", "b") == view
+    assert not view != ("a", "b") and not ("a", "b") != view
+    assert view != ("a",) and ("a", "b", "c") != view and view != ["a", "b"]
+    assert hash(view) == hash(("a", "b"))
+    assert {("a", "b"): 1}[view] == 1 and {view: 2}[("a", "b")] == 2
+    # Against another view: the same ids over another list or a tuple, or
+    # another length.
+    for other in (ScanPrefix(["a", "b", "x", "y"], 2), ScanPrefix(("a", "b"), 2)):
+        assert view == other and other == view and hash(view) == hash(other)
+    assert view == ScanPrefix(base, 2) and view != ScanPrefix(base, 3)
+    assert ScanPrefix(["a", "x"], 2) != view and ScanPrefix(("a", "b", "c"), 3) != view
+
+
+def test_scan_prefix_reads_like_a_tuple() -> None:
+    base = ["a", "b", "c"]
+    view = ScanPrefix(base, 2)
+    assert len(view) == 2 and view[0] == "a" and view[1] == "b"
+    assert view[-1] == "b" and view[-2] == "a"
+    for index in (2, 3, -3):
+        with pytest.raises(IndexError):
+            view[index]
+    assert view[:] == ("a", "b") and view[1:] == ("b",) and view[::-1] == ("b", "a") and view[5:] == ()
+    assert list(view) == ["a", "b"] and list(reversed(view)) == ["b", "a"]
+    assert "b" in view and "c" not in view and view.index("b") == 1 and view.count("a") == 1
+    assert repr(view) == "ScanPrefix(('a', 'b'))"
+    empty = ScanPrefix(base, 0)
+    assert empty == () and () == empty and hash(empty) == hash(())
+    assert len(empty) == 0 and not empty and list(empty) == [] and empty[:] == ()
+    assert repr(empty) == "ScanPrefix(())"
+    with pytest.raises(IndexError):
+        empty[0]
+
+
+def test_scan_prefix_keeps_its_contents_when_its_list_grows() -> None:
+    base = ["a", "b"]
+    short, full = ScanPrefix(base, 1), ScanPrefix(base, 2)
+    base.extend(["c", "d"])
+    assert short == ("a",) and full == ("a", "b")
+    assert list(full) == ["a", "b"] and full[-1] == "b" and full[:] == ("a", "b")
+    assert len(full) == 2 and hash(full) == hash(("a", "b"))
+
+
+def test_sort_once_decisions_share_one_scanned_list() -> None:
+    # The first, linear pick wraps a tuple of its own; every later record
+    # of the call views one list, grown only as far as a scan reached:
+    # auto-2, created by the last request, was never scanned.
+    nodes = [node("n1"), node("n2")]
+    outcome = schedule_max_util(
+        [request(f"r{k}", 70.0) for k in range(4)], nodes, _config(autoscale=True)
+    )
+    views = [record.scanned for record in outcome.trace]
+    assert [tuple(v) for v in views] == [("n1",), ("n1", "n2"), ("n1", "n2"), ("n1", "n2", "auto-1")]
+    assert outcome.created_node_ids == ("auto-1", "auto-2")
+    assert views[0].base == ("n1",)
+    assert len({id(v.base) for v in views[1:]}) == 1
+    assert views[1].base == ["n1", "n2", "auto-1"]
+
+
+# Capacities and demands of the exactness instances: demand/capacity ratios
+# land on, just under and just over common thresholds.
+_CAPACITIES = (3.0, 50.0, 100.0, 200.0, 1000.0)
+_DEMANDS = (0.0, 1.0, 5.0, 10.0, 25.0, 50.0, 120.0, 5000.0)
+
+
+def _ulps(value: float, steps: int) -> float:
+    for _ in range(abs(steps)):
+        value = math.nextafter(value, math.inf if steps > 0 else -math.inf)
+    return value
+
+
+@st.composite
+def _first_fit_instances(draw):
+    # Hypothesis picks the shape; a seeded Random fills in the values, so a
+    # 100-node cluster costs one draw, not hundreds.
+    threshold = draw(st.sampled_from([0.5, 0.8, 1.0]))
+    size = draw(st.sampled_from([0, 1, 4]) | st.integers(100, 130))
+    count = draw(st.integers(0, 60))
+    rng = draw(st.randoms(use_true_random=False))
+    limit = threshold + TOLERANCE
+
+    def axis_util(cap: float) -> float:
+        # Zero, anywhere, or within a few ulps of where a demand exactly
+        # meets threshold + TOLERANCE.
+        kind = rng.choice(["zero", "any", "limit", "edge"])
+        if kind == "zero":
+            return 0.0
+        if kind == "any":
+            return rng.uniform(0.0, 1.1)
+        edge = limit if kind == "limit" else limit - rng.choice(_DEMANDS) / cap
+        return max(0.0, _ulps(edge, rng.randint(-3, 3)))
+
+    nodes = []
+    for k in range(size):
+        caps = [rng.choice(_CAPACITIES) for _ in range(3)]
+        nodes.append(node(f"n{k:03d}", template(*caps), tuple(axis_util(cap) for cap in caps)))
+    requests = [request(f"r{j:03d}", *(rng.choice(_DEMANDS) for _ in range(3))) for j in range(count)]
+    autoscale = template(*(rng.choice(_CAPACITIES) for _ in range(3))) if rng.random() < 0.5 else None
+    return requests, nodes, threshold, autoscale
+
+
+def _assert_first_fit_matches_reference(requests, nodes, threshold, autoscale) -> None:
+    config = SchedulerConfig(threshold=Threshold(threshold), autoscale_template=autoscale)
+    for scheduler, reference, descending in (
+        (schedule_max_util, ref_max_util, True),
+        (schedule_load_balance, ref_load_balance, False),
+    ):
+        placed = list(nodes)
+        outcome = scheduler(requests, placed, config)
+        want = reference(requests, list(nodes), threshold, autoscale)
+        assert outcome.allocation == want["allocation"]
+        assert list(outcome.unallocated) == want["unallocated"]
+        assert list(outcome.created_node_ids) == want["created"]
+        assert {n.id: list(n.utilization.as_tuple()) for n in placed} == {
+            s["id"]: s["util"] for s in want["nodes"]
+        }
+        records = [
+            (r.request_id, r.scanned, r.chosen_node_id, r.created_node, r.pct and r.pct.as_tuple(), r.reason)
+            for r in outcome.trace
+        ]
+        want_records = ref_first_fit_records(requests, list(nodes), threshold, descending, autoscale)
+        assert records == want_records
+        assert [len(r.scanned) for r in outcome.trace] == [len(w[1]) for w in want_records]
+
+
+@settings(max_examples=80, deadline=None)
+@given(_first_fit_instances())
+def test_sort_once_first_fit_matches_naive_reference_exactly(instance) -> None:
+    _assert_first_fit_matches_reference(*instance)
+
+
+@pytest.mark.parametrize("size", [1, 4, 100, 130])
+def test_sort_once_first_fit_exact_across_tree_doublings(size: int) -> None:
+    # Every request fills most of a fresh node, so the cluster grows by one
+    # node per request past several powers of two.
+    rng = random.Random(size)
+    nodes = [node(f"n{k:03d}", template(), (rng.choice([0.0, 0.3, 0.75]), 0.0, 0.0)) for k in range(size)]
+    requests = [request(f"r{j:03d}", rng.choice([0.0, 30.0, 50.0, 60.0, 80.0, 90.0])) for j in range(150)]
+    _assert_first_fit_matches_reference(requests, nodes, 0.8, template())
+
+
+class _CountedCapacity(float):
+    """A compute capacity that counts divisions by it. The exact
+    feasibility test divides a demand by a node's compute capacity once
+    per node examined; allocating divides once more."""
+
+    divisions = 0
+
+    def __rtruediv__(self, other: float) -> float:
+        _CountedCapacity.divisions += 1
+        return float.__rtruediv__(self, other)
+
+
+@pytest.mark.parametrize(
+    "scheduler, blocked_util, open_util",
+    [
+        # Blocked nodes scan first: fuller by compute (max-util), or
+        # emptier by compute but out of memory (load-balance).
+        (schedule_max_util, (0.75, 0.0, 0.0), (0.1, 0.0, 0.0)),
+        (schedule_load_balance, (0.0, 0.8, 0.0), (0.1, 0.0, 0.0)),
+    ],
+)
+def test_sort_once_first_fit_tests_each_node_about_once(monkeypatch, scheduler, blocked_util, open_util) -> None:
+    # M requests on N >> M nodes, the first feasible one deep in the scan
+    # order: one linear first pick, then O(log N) per pick, not N.
+    n, m = 2000, 60
+    nodes = [node(f"b{k:04d}", template(), blocked_util) for k in range(n - 16)]
+    nodes += [node(f"o{k:02d}", template(), open_util) for k in range(16)]
+    state = ClusterState(nodes)
+    state.cc[:] = map(_CountedCapacity, state.cc)
+    monkeypatch.setattr(_CountedCapacity, "divisions", 0)
+    outcome = scheduler([request(f"r{j:03d}", 10.0, 10.0) for j in range(m)], state, _config())
+    assert len(outcome.allocation) == m and not outcome.created_node_ids
+    assert all(node_id.startswith("o") for node_id in outcome.allocation.values())
+    assert _CountedCapacity.divisions <= n + 4 * m * math.ceil(math.log2(n))
