@@ -7,14 +7,16 @@ CSV output uses the same numeric formatting, a stable column order and LF
 line endings.
 
 Escaped strings are memoized per document, so a decision trace that lists
-the same node ids many times escapes each id once. A decision's scanned
-ids arrive as a ScanPrefix, a view of an id list that a scan shares
-between its decisions: each shared list is escaped and joined once, and
-each view is written as one slice of that text. Power estimates, lists
-of [node id, watts] pairs, are joined in one step too. Every document is
-built in full before its sink is opened: a value that cannot be
-serialized raises ValidationError and leaves an existing output
-untouched.
+the same node ids many times escapes each id once. The outcome document is
+written straight from the decision records: the id list a scan shares
+between its decisions (ScanPrefix views) is encoded once, and each view is
+written as one slice of those bytes.
+
+A path sink is written chunk by chunk to a temporary file beside it, which
+replaces the path only once the whole document is written, so any error
+(ValidationError for a non-finite float or a string UTF-8 cannot encode)
+leaves an existing output untouched; a device or pipe path is written
+through. A stream sink receives the finished text in one write.
 
 Schemas:
 
@@ -38,15 +40,17 @@ from __future__ import annotations
 import csv
 import io
 import math
-from itertools import accumulate
+import os
+from itertools import accumulate, count
 from json.encoder import encode_basestring
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from pathlib import Path
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple, Union
 
 from .metrics import Report
 from .model import ValidationError
 from .scheduling import AllocationOutcome, DecisionRecord, ScanPrefix
 from .simulator import SnapshotRow
-from .workload import TextStream, open_text
+from .workload import TextStream
 
 REPORT_CSV_COLUMNS = (
     "mean_compute_utilization",
@@ -92,21 +96,13 @@ def canonical_json(value: object) -> str:
 
     The tree is walked once into one list of chunks, joined at the end.
     Each distinct str is escaped once per call with encode_basestring (what
-    json.dumps(s, ensure_ascii=False) applies to a str); a list or tuple of
-    exact strs is joined from the cached escaped forms in one step, and a
-    list of [str, float] pairs (power estimates) in one more. A ScanPrefix
-    is written as the array of its ids: each distinct shared id list is
-    escaped and joined once, and every view of it is one slice of that
-    joined text.
+    json.dumps(s, ensure_ascii=False) applies to a str). A ScanPrefix is
+    written as the array of its ids.
     """
 
     chunks: List[str] = []
     append = chunks.append
     memo: Dict[str, str] = {}
-    # id(base) -> [base (held so its id stays unique during the call), its
-    # joined escaped ids, cumulative escaped lengths (computed when a view
-    # shorter than the base first needs them)].
-    shared: Dict[int, List[object]] = {}
 
     def escape(text: str) -> str:
         if type(text) is not str:
@@ -115,35 +111,6 @@ def canonical_json(value: object) -> str:
         if encoded is None:
             encoded = memo[text] = encode_basestring(text)
         return encoded
-
-    def escape_all(texts: Sequence[str]) -> List[str]:
-        if set(map(type, texts)) != {str}:
-            return list(map(escape, texts))
-        try:
-            return list(map(memo.__getitem__, texts))
-        except KeyError:
-            for text in set(texts).difference(memo):
-                memo[text] = encode_basestring(text)
-            return list(map(memo.__getitem__, texts))
-
-    def emit_prefix(view: ScanPrefix) -> None:
-        base, length = view.base, view.length
-        if not length:
-            append("[]")
-            return
-        entry = shared.get(id(base))
-        if entry is None:
-            entry = shared[id(base)] = [base, ",".join(escape_all(base)), None]
-        joined = entry[1]
-        if length < len(base):
-            ends = entry[2]
-            if ends is None:
-                ends = entry[2] = list(accumulate(map(len, escape_all(base))))
-            # The escaped ids plus one comma between each pair.
-            joined = joined[: ends[length - 1] + length - 1]
-        append("[")
-        append(joined)
-        append("]")
 
     def emit(item: object) -> None:
         if item is None:
@@ -167,23 +134,7 @@ def canonical_json(value: object) -> str:
                 emit(child)
                 sep = ","
             append("}" if sep == "," else "{}")
-        elif isinstance(item, ScanPrefix):
-            emit_prefix(item)
-        elif isinstance(item, (list, tuple)):
-            types = set(map(type, item))
-            if types == {str}:
-                append("[")
-                append(",".join(escape_all(item)))
-                append("]")
-                return
-            if types and types <= {list, tuple} and set(map(len, item)) == {2}:
-                keys, values = zip(*item)
-                if set(map(type, keys)) == {str} and set(map(type, values)) == {float}:
-                    pairs = map(",".join, zip(escape_all(keys), map(format_float, values)))
-                    append("[[")
-                    append("],[".join(pairs))
-                    append("]]")
-                    return
+        elif isinstance(item, (list, tuple, ScanPrefix)):
             sep = "["
             for child in item:
                 append(sep)
@@ -263,13 +214,40 @@ def outcome_to_dict(outcome: AllocationOutcome) -> Dict[str, object]:
 _WRITE_SLICE = 1 << 20
 
 
-def _write_text(text: str, sink: TextStream, end: str = "") -> None:
-    # Callers pass the finished text, so a value that cannot be serialized
-    # fails before the sink is opened and leaves an existing output intact.
-    with open_text(sink, "w") as stream:
-        for start in range(0, len(text), _WRITE_SLICE):
-            stream.write(text[start : start + _WRITE_SLICE])
-        stream.write(end)
+def _utf8(text: str, end: str = "") -> Iterator[bytes]:
+    for start in range(0, len(text), _WRITE_SLICE):
+        yield text[start : start + _WRITE_SLICE].encode()
+    yield end.encode()
+
+
+def _write(chunks: Iterable[Union[bytes, memoryview]], sink: TextStream) -> None:
+    """Write a document's UTF-8 chunks to a sink (see the module docstring)."""
+
+    try:
+        if not isinstance(sink, (str, Path)):
+            sink.write(b"".join(chunks).decode())
+            return
+        temp = None
+        if os.path.isfile(sink) or not os.path.exists(sink):
+            for attempt in count():
+                try:
+                    temp = f"{sink}.{os.getpid()}.{attempt}.tmp"
+                    sink_fd = os.open(temp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+                    break
+                except FileExistsError:
+                    pass
+        try:
+            with open(sink_fd if temp else sink, "wb") as stream:
+                stream.writelines(chunks)
+            if temp:
+                os.replace(temp, sink)
+        except BaseException:
+            if temp:
+                os.unlink(temp)
+            raise
+    except UnicodeEncodeError as exc:
+        text = exc.object[exc.start : exc.end]
+        raise ValidationError(f"cannot encode {text!r} as {exc.encoding}: {exc.reason}") from None
 
 
 def _cell(value: object) -> str:
@@ -333,25 +311,17 @@ def write_report(
             if algorithm is not None:
                 doc["algorithm"] = algorithm
             doc.update(report_to_dict(payload))
-            _write_text(canonical_json(doc), sink, "\n")
+            _write(_utf8(canonical_json(doc), "\n"), sink)
         else:
             header = (("algorithm",) if algorithm is not None else ()) + REPORT_CSV_COLUMNS
             row = ([algorithm] if algorithm is not None else []) + report_csv_row(payload)
-            _write_text(_csv_text(header, [row]), sink)
+            _write(_utf8(_csv_text(header, [row])), sink)
         return
 
     rows = list(payload)
     if fmt == "csv":
-        _write_text(
-            _csv_text(
-                SNAPSHOT_CSV_COLUMNS,
-                [
-                    [r.time_s, r.node_id, r.compute_util, r.memory_util, r.storage_util, r.power_w]
-                    for r in rows
-                ],
-            ),
-            sink,
-        )
+        table = [[r.time_s, r.node_id, r.compute_util, r.memory_util, r.storage_util, r.power_w] for r in rows]
+        _write(_utf8(_csv_text(SNAPSHOT_CSV_COLUMNS, table)), sink)
     else:
         docs = [
             {
@@ -364,20 +334,81 @@ def write_report(
             }
             for r in rows
         ]
-        _write_text(canonical_json(docs), sink, "\n")
+        _write(_utf8(canonical_json(docs), "\n"), sink)
 
 
 def write_outcome_document(
     algorithm: str, outcome: AllocationOutcome, report: Report, sink: TextStream
 ) -> None:
-    """One canonical JSON document holding an outcome and its report."""
+    """One canonical JSON document holding an outcome and its report: the
+    bytes of canonical_json({"algorithm", "outcome": outcome_to_dict(outcome),
+    "report": report_to_dict(report)}) and a newline."""
 
-    doc = {
-        "algorithm": algorithm,
-        "outcome": outcome_to_dict(outcome),
-        "report": report_to_dict(report),
-    }
-    _write_text(canonical_json(doc), sink, "\n")
+    _write(_outcome_chunks(algorithm, outcome, report), sink)
+
+
+def _outcome_chunks(
+    algorithm: str, outcome: AllocationOutcome, report: Report
+) -> Iterator[Union[bytes, memoryview]]:
+    # One fixed template per decision record, in outcome_to_dict's key order.
+    # Text gathers in pending up to a scanned view, which is yielded as a
+    # slice of the encoded bytes of its base list.
+    escapes: Dict[str, str] = {}
+
+    def text(value: object) -> str:
+        if type(value) is str:
+            escaped = escapes.get(value)
+            if escaped is None:
+                escaped = escapes[value] = encode_basestring(value)
+            return escaped
+        if value is None or type(value) is bool:
+            return "null" if value is None else "true" if value else "false"
+        return canonical_json(value)
+
+    allocation = outcome.allocation
+    head = '{"algorithm":%s,"outcome":{"allocation":{%s},"unallocated":[%s],"created_node_ids":[%s],"trace":['
+    pending = head % (
+        text(algorithm),
+        ",".join([f"{text(str(rid))}:{text(allocation[rid])}" for rid in sorted(allocation)]),
+        ",".join(map(text, outcome.unallocated)),
+        ",".join(map(text, outcome.created_node_ids)),
+    )
+    base: object = None
+    for index, record in enumerate(outcome.trace):
+        demand, scanned, pct = record.demand, record.scanned, record.pct
+        pending += '%s{"request_id":%s,"demand":{"compute":%s,"memory_gib":%s,"storage_gib":%s},"scanned":[' % (
+            "," if index else "", text(record.request_id),
+            format_float(demand.compute), format_float(demand.memory_gib), format_float(demand.storage_gib),
+        )
+        if isinstance(scanned, ScanPrefix) and scanned.length:
+            if scanned.base is not base:  # a scan's views come in one run
+                base, ends = scanned.base, None
+                escaped = list(map(text, base))
+                joined = memoryview(",".join(escaped).encode())
+            view, length = joined, scanned.length
+            if length < len(escaped):
+                if ends is None:
+                    ends = list(accumulate(len(item.encode()) for item in escaped))
+                view = joined[: ends[length - 1] + length - 1]  # the ids and the commas between them
+            yield pending.encode()
+            yield view
+            pending = ""
+        else:
+            pending += ",".join(map(text, scanned))
+        pending += '],"chosen_node_id":%s,"pct":%s,"created_node":%s,"reason":%s' % (
+            text(record.chosen_node_id),
+            "null" if pct is None else '{"compute":%s,"memory":%s,"storage":%s}'
+            % (format_float(pct.compute), format_float(pct.memory), format_float(pct.storage)),
+            text(record.created_node), text(record.reason),
+        )
+        if record.power_estimates:
+            pairs = [f"{text(node_id)},{format_float(watts)}" for node_id, watts in record.power_estimates]
+            pending += ',"power_estimates":[[%s]]' % "],[".join(pairs)
+        pending += "}"
+        if len(pending) >= _WRITE_SLICE:
+            yield pending.encode()
+            pending = ""
+    yield f'{pending}]}},"report":{canonical_json(report_to_dict(report))}}}\n'.encode()
 
 
 def comparison_rows(named_reports: Sequence[Tuple[str, Report]]) -> List[List[object]]:
@@ -401,7 +432,7 @@ def write_comparison(named_reports: Sequence[Tuple[str, Report]], fmt: str, sink
         raise ValidationError(f"format must be json or csv, got {fmt!r}")
     rows = comparison_rows(named_reports)
     if fmt == "csv":
-        _write_text(_csv_text(COMPARISON_COLUMNS, rows), sink)
+        _write(_utf8(_csv_text(COMPARISON_COLUMNS, rows)), sink)
     else:
         docs = [dict(zip(COMPARISON_COLUMNS, row)) for row in rows]
-        _write_text(canonical_json({"rows": docs}), sink, "\n")
+        _write(_utf8(canonical_json({"rows": docs}), "\n"), sink)

@@ -292,6 +292,10 @@ def request_from_dict(obj: Dict[str, object], line_no: int = 0) -> GptRequest:
     request_id = obj["id"]
     if not isinstance(request_id, str) or not request_id:
         raise TraceParseError(line_no, f"field 'id' must be a non-empty string, got {request_id!r}")
+    try:
+        request_id.encode()
+    except UnicodeEncodeError:
+        raise TraceParseError(line_no, f"field 'id' must be encodable as UTF-8, got {request_id!r}") from None
     kind_value = obj["task_kind"]
     try:
         kind = TaskKind(kind_value)

@@ -302,3 +302,20 @@ def test_console_module_subprocess(tmp_path) -> None:
     )
     assert proc.returncode == 0, proc.stderr
     assert len(out.read_text(encoding="utf-8").splitlines()) == 2
+
+
+def test_unencodable_request_id_exits_2_and_keeps_previous_output(tmp_path, capsys) -> None:
+    trace = tmp_path / "trace.jsonl"
+    trace.write_text(
+        '{"id":"req-\\ud800","task_kind":"chat","model_params_b":7,"prompt_tokens":10,"output_tokens":10}\n',
+        encoding="utf-8",
+    )
+    out = tmp_path / "out.json"
+    previous = b'{"previous": "output"}\n'
+    out.write_bytes(previous)
+    args = ["schedule", "--workload", str(trace), "--algorithm", "max-util", "--out", str(out)]
+    assert main([*args, "--format", "json"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("gptsched: line 1:") and "UTF-8" in err
+    assert out.read_bytes() == previous
+    assert sorted(path.name for path in tmp_path.iterdir()) == ["out.json", "trace.jsonl"]

@@ -297,3 +297,12 @@ def test_request_to_dict_omits_absent_optionals() -> None:
         "id", "task_kind", "model_params_b", "prompt_tokens", "output_tokens",
         "arrival_s", "deadline_s",
     ]
+
+
+def test_id_that_utf8_cannot_encode_is_rejected_with_its_line() -> None:
+    # A lone surrogate is valid JSON ("\ud800") but cannot be written as UTF-8.
+    lines = '{"id":"ok","task_kind":"chat","model_params_b":7,"prompt_tokens":1,"output_tokens":1}\n'
+    lines += '{"id":"req-\\ud800","task_kind":"chat","model_params_b":7,"prompt_tokens":1,"output_tokens":1}\n'
+    with pytest.raises(TraceParseError, match="line 2: field 'id' must be encodable as UTF-8") as info:
+        load_trace(io.StringIO(lines))
+    assert info.value.line_no == 2
