@@ -81,7 +81,7 @@ def build_parser() -> argparse.ArgumentParser:
     simulate = sub.add_parser("simulate", help="replay a timed workload event by event")
     _add_common_flags(simulate, algorithm=True)
     simulate.add_argument(
-        "--snapshot-interval", type=float, default=60.0, help="snapshot grid in seconds (> 0)"
+        "--snapshot-interval", type=float, default=60.0, help="snapshot grid in seconds (finite, > 0)"
     )
     simulate.add_argument("--out", required=True, help="output directory")
     simulate.add_argument("--format", choices=("json", "csv"), default="json")

@@ -24,6 +24,10 @@ Schema (every key optional; defaults in parentheses):
                     "arrival_rate_per_s": null, "duration": null}
     }
 
+A key or section that is missing or null is unset and keeps its default.
+Numbers must be finite as floats: NaN, the infinities and integers too
+large for a float are refused.
+
 Nodes are named node-1, node-2, ... across groups in order. A non-zero
 resident_utilization models pre-existing load: the node starts with that
 utilization and a single synthetic resident allocation named
@@ -37,11 +41,12 @@ constraint violations (e.g. "scheduler.threshold: threshold must be in
 from __future__ import annotations
 
 import json
-import math
-from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from dataclasses import dataclass, fields, replace
+from functools import partial
+from typing import Any, Callable, Dict, List, Mapping, Optional, Tuple, TypeVar, Union
 
 from .model import (
+    ZERO_UTILIZATION,
     ConfigError,
     Node,
     NodeTemplate,
@@ -54,11 +59,13 @@ from .power import PowerMode, PowerPolicy
 from .profiler import ProfilerCoefficients
 from .scheduling import SchedulerConfig
 from .simulator import AdaptorPolicy
-from .workload import GeneratorSpec, LognormalSpec, TextStream, open_text
+from .workload import GeneratorSpec, LognormalSpec, TextStream, open_text, read_int, read_number
 
 DEFAULT_CAPACITY = ResourceVector(compute=1000.0, memory_gib=512.0, storage_gib=2000.0)
 DEFAULT_TEMPLATE = NodeTemplate(capacity=DEFAULT_CAPACITY, p_idle_w=100.0, p_max_w=400.0)
 DEFAULT_NODE_COUNT = 4
+
+_T = TypeVar("_T")
 
 
 @dataclass(frozen=True)
@@ -89,294 +96,178 @@ class ExperimentConfig:
         return list(self.initial_nodes)
 
 
-def _expect_object(value: object, path: str) -> Dict[str, object]:
-    if not isinstance(value, dict):
+# A reader turns one set JSON value, found at a path, into its parsed form.
+# A ValidationError it raises is reported under that path. A nested object's
+# reader is the table of its own keys' readers.
+Reader = Union[Callable[[object, str], Any], Mapping[str, Any]]
+
+
+def _fields(raw: object, path: str, readers: Mapping[str, Reader]) -> Dict[str, Any]:
+    """The set keys of the JSON object raw, each passed through its reader.
+
+    A missing or null key is unset and left out; an unknown key is refused.
+    """
+
+    if not isinstance(raw, dict):
         raise ConfigError(f"{path}: must be a JSON object")
-    return value
-
-
-def _check_keys(obj: Dict[str, object], allowed: Tuple[str, ...], path: str) -> None:
-    unknown = set(obj) - set(allowed)
+    unknown = set(raw) - set(readers)
     if unknown:
-        raise ConfigError(f"{path}: unknown keys {sorted(unknown)} (allowed: {sorted(allowed)})")
+        raise ConfigError(f"{path}: unknown keys {sorted(unknown)} (allowed: {sorted(readers)})")
+    prefix = "" if path == "config" else f"{path}."  # sections are named bare
+    parsed: Dict[str, Any] = {}
+    for key, read in readers.items():
+        if raw.get(key) is not None:
+            try:
+                if isinstance(read, Mapping):
+                    parsed[key] = _fields(raw[key], prefix + key, read)
+                else:
+                    parsed[key] = read(raw[key], prefix + key)
+            except ValidationError as exc:
+                raise ConfigError(f"{prefix}{key}: {exc}") from None
+    return parsed
 
 
-def _get_number(obj: Dict[str, object], key: str, path: str, default: float) -> float:
-    value = obj.get(key, default)
-    if isinstance(value, bool) or not isinstance(value, (int, float)) or not math.isfinite(value):
-        raise ConfigError(f"{path}.{key}: must be a finite number, got {value!r}")
-    return float(value)
+def _build(make: Callable[..., _T], path: str, kwargs: Dict[str, Any]) -> _T:
+    """make(**kwargs), a ValidationError reported under path."""
 
-
-def _get_int(obj: Dict[str, object], key: str, path: str, default: int) -> int:
-    value = obj.get(key, default)
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ConfigError(f"{path}.{key}: must be an integer, got {value!r}")
-    return value
-
-
-def _get_bool(obj: Dict[str, object], key: str, path: str, default: bool) -> bool:
-    value = obj.get(key, default)
-    if not isinstance(value, bool):
-        raise ConfigError(f"{path}.{key}: must be true or false, got {value!r}")
-    return value
-
-
-def _parse_capacity(obj: Dict[str, object], path: str, default: ResourceVector) -> ResourceVector:
-    raw = obj.get("capacity")
-    if raw is None:
-        return default
-    capacity = _expect_object(raw, f"{path}.capacity")
-    _check_keys(capacity, ("compute", "memory_gib", "storage_gib"), f"{path}.capacity")
     try:
-        return ResourceVector(
-            compute=_get_number(capacity, "compute", f"{path}.capacity", default.compute),
-            memory_gib=_get_number(capacity, "memory_gib", f"{path}.capacity", default.memory_gib),
-            storage_gib=_get_number(capacity, "storage_gib", f"{path}.capacity", default.storage_gib),
-        )
-    except ValidationError as exc:
-        raise ConfigError(f"{path}.capacity: {exc}") from None
-
-
-def _parse_template(obj: Dict[str, object], path: str, default: NodeTemplate) -> NodeTemplate:
-    try:
-        return NodeTemplate(
-            capacity=_parse_capacity(obj, path, default.capacity),
-            p_idle_w=_get_number(obj, "p_idle_w", path, default.p_idle_w),
-            p_max_w=_get_number(obj, "p_max_w", path, default.p_max_w),
-        )
+        return make(**kwargs)
     except ValidationError as exc:
         raise ConfigError(f"{path}: {exc}") from None
 
 
-def _parse_resident(obj: Dict[str, object], path: str) -> UtilizationVector:
-    raw = obj.get("resident_utilization")
-    if raw is None:
-        return UtilizationVector(0.0, 0.0, 0.0)
-    resident = _expect_object(raw, f"{path}.resident_utilization")
-    _check_keys(resident, ("compute", "memory", "storage"), f"{path}.resident_utilization")
-    values = {
-        key: _get_number(resident, key, f"{path}.resident_utilization", 0.0)
-        for key in ("compute", "memory", "storage")
-    }
-    for key, value in values.items():
-        if not 0.0 <= value <= 1.0:
-            raise ConfigError(f"{path}.resident_utilization.{key}: must be in [0, 1], got {value!r}")
-    return UtilizationVector(**values)
+def _number(value: object, path: str) -> float:
+    return read_number(value)
 
 
-def _parse_cluster(raw: object) -> Tuple[Tuple[Node, ...], NodeTemplate]:
-    """Build the node list; returns it plus the first group's template."""
-
-    if raw is None:
-        groups: List[Dict[str, object]] = [{"count": DEFAULT_NODE_COUNT}]
-    else:
-        if not isinstance(raw, list) or not raw:
-            raise ConfigError("cluster: must be a non-empty list of node groups")
-        groups = [_expect_object(group, f"cluster[{i}]") for i, group in enumerate(raw)]
-
-    nodes: List[Node] = []
-    first_template: Optional[NodeTemplate] = None
-    serial = 1
-    for index, group in enumerate(groups):
-        path = f"cluster[{index}]"
-        _check_keys(
-            group, ("count", "capacity", "p_idle_w", "p_max_w", "resident_utilization"), path
-        )
-        count = _get_int(group, "count", path, 1)
-        if count <= 0:
-            raise ConfigError(f"{path}.count: must be >= 1, got {count!r}")
-        template = _parse_template(group, path, DEFAULT_TEMPLATE)
-        if first_template is None:
-            first_template = template
-        resident = _parse_resident(group, path)
-        for _ in range(count):
-            node_id = f"node-{serial}"
-            serial += 1
-            if resident.is_zero():
-                nodes.append(Node(id=node_id, template=template))
-            else:
-                nodes.append(
-                    Node(
-                        id=node_id,
-                        template=template,
-                        utilization=resident,
-                        allocated=frozenset({f"resident-{node_id}"}),
-                    )
-                )
-    assert first_template is not None
-    return tuple(nodes), first_template
+def _integer(value: object, path: str) -> int:
+    return read_int(value)
 
 
-def _parse_autoscale(raw: object, first_template: NodeTemplate) -> Optional[NodeTemplate]:
-    if raw is None:
-        return first_template
-    obj = _expect_object(raw, "autoscale")
-    _check_keys(obj, ("enabled", "capacity", "p_idle_w", "p_max_w"), "autoscale")
-    if not _get_bool(obj, "enabled", "autoscale", True):
-        return None
-    return _parse_template(obj, "autoscale", first_template)
+def _boolean(value: object, path: str) -> bool:
+    if not isinstance(value, bool):
+        raise ValidationError(f"must be true or false, got {value!r}")
+    return value
 
 
-def _parse_scheduler(
-    raw: object, autoscale_template: Optional[NodeTemplate], power_policy: PowerPolicy
-) -> SchedulerConfig:
-    obj = _expect_object(raw, "scheduler") if raw is not None else {}
-    _check_keys(obj, ("threshold", "resort_after_each_allocation"), "scheduler")
+def _fraction(value: object, path: str) -> float:
+    number = read_number(value)
+    if not 0.0 <= number <= 1.0:
+        raise ValidationError(f"must be in [0, 1], got {number!r}")
+    return number
+
+
+def _power_mode(value: object, path: str) -> PowerMode:
     try:
-        threshold = Threshold(_get_number(obj, "threshold", "scheduler", 0.8))
-    except ValidationError as exc:
-        raise ConfigError(f"scheduler.threshold: {exc}") from None
-    return SchedulerConfig(
-        threshold=threshold,
-        autoscale_template=autoscale_template,
-        resort_after_each_allocation=_get_bool(obj, "resort_after_each_allocation", "scheduler", False),
-        power_policy=power_policy,
-    )
-
-
-def _parse_power(raw: object) -> PowerPolicy:
-    obj = _expect_object(raw, "power") if raw is not None else {}
-    _check_keys(obj, ("mode", "off_when_empty"), "power")
-    mode_value = obj.get("mode", PowerMode.INCREMENTAL.value)
-    try:
-        mode = PowerMode(mode_value)
+        return PowerMode(value)
     except ValueError:
-        raise ConfigError(
-            f"power.mode: must be one of {[m.value for m in PowerMode]}, got {mode_value!r}"
-        ) from None
-    return PowerPolicy(mode=mode, off_when_empty=_get_bool(obj, "off_when_empty", "power", True))
+        raise ValidationError(f"must be one of {[m.value for m in PowerMode]}, got {value!r}") from None
 
 
-def _parse_profiler(raw: object) -> ProfilerCoefficients:
-    obj = _expect_object(raw, "profiler") if raw is not None else {}
-    defaults = ProfilerCoefficients()
-    fields = (
-        "flops_per_param_token",
-        "weight_mem_gib_per_b",
-        "kv_mem_gib_per_ktoken_per_b",
-        "storage_gib_per_b",
-    )
-    _check_keys(obj, fields, "profiler")
-    try:
-        return ProfilerCoefficients(
-            **{name: _get_number(obj, name, "profiler", getattr(defaults, name)) for name in fields}
-        )
-    except ValidationError as exc:
-        raise ConfigError(f"profiler: {exc}") from None
+def _lognormal(value: object, path: str) -> LognormalSpec:
+    parsed = _fields(value, path, {"mu": _number, "sigma": _number})
+    if len(parsed) != 2:
+        raise ConfigError(f"{path}: needs both mu and sigma")
+    return LognormalSpec(**parsed)
 
 
-def _parse_adaptor(raw: object) -> AdaptorPolicy:
-    obj = _expect_object(raw, "adaptor") if raw is not None else {}
-    _check_keys(obj, ("scale_down_grace_s", "retain_min_nodes"), "adaptor")
-    try:
-        return AdaptorPolicy(
-            scale_down_grace_s=_get_number(obj, "scale_down_grace_s", "adaptor", 300.0),
-            retain_min_nodes=_get_int(obj, "retain_min_nodes", "adaptor", 0),
-        )
-    except ValidationError as exc:
-        raise ConfigError(f"adaptor: {exc}") from None
-
-
-def _parse_lognormal(
-    obj: Dict[str, object], key: str, path: str, default: Optional[LognormalSpec]
-) -> Optional[LognormalSpec]:
-    raw = obj.get(key)
-    if raw is None:
-        return default
-    spec = _expect_object(raw, f"{path}.{key}")
-    _check_keys(spec, ("mu", "sigma"), f"{path}.{key}")
-    if "mu" not in spec or "sigma" not in spec:
-        raise ConfigError(f"{path}.{key}: needs both mu and sigma")
-    try:
-        return LognormalSpec(
-            mu=_get_number(spec, "mu", f"{path}.{key}", 0.0),
-            sigma=_get_number(spec, "sigma", f"{path}.{key}", 0.0),
-        )
-    except ValidationError as exc:
-        raise ConfigError(f"{path}.{key}: {exc}") from None
-
-
-def _parse_generator(raw: object) -> GeneratorSpec:
-    obj = _expect_object(raw, "generator") if raw is not None else {}
-    _check_keys(
-        obj,
-        (
-            "request_count",
-            "seed",
-            "model_size_choices_b",
-            "prompt_tokens",
-            "output_tokens",
-            "arrival_rate_per_s",
-            "duration",
-        ),
-        "generator",
-    )
-    defaults = GeneratorSpec()
-    choices_raw = obj.get("model_size_choices_b")
-    if choices_raw is None:
-        choices = defaults.model_size_choices_b
-    else:
-        if not isinstance(choices_raw, list):
-            raise ConfigError("generator.model_size_choices_b: must be a list of [size, prob] pairs")
-        pairs: List[Tuple[float, float]] = []
-        for i, pair in enumerate(choices_raw):
+def _size_choices(value: object, path: str) -> Tuple[Tuple[float, float], ...]:
+    if not isinstance(value, list):
+        raise ValidationError("must be a list of [size, prob] pairs")
+    pairs: List[Tuple[float, float]] = []
+    for index, pair in enumerate(value):
+        try:
             if not isinstance(pair, list) or len(pair) != 2:
-                raise ConfigError(f"generator.model_size_choices_b[{i}]: must be a [size, prob] pair")
-            size, prob = pair
-            for value in (size, prob):
-                if isinstance(value, bool) or not isinstance(value, (int, float)):
-                    raise ConfigError(
-                        f"generator.model_size_choices_b[{i}]: entries must be numbers, got {value!r}"
-                    )
-            pairs.append((float(size), float(prob)))
-        choices = tuple(pairs)
-
-    rate_raw = obj.get("arrival_rate_per_s")
-    rate: Optional[float]
-    if rate_raw is None:
-        rate = None
-    elif isinstance(rate_raw, bool) or not isinstance(rate_raw, (int, float)):
-        raise ConfigError(f"generator.arrival_rate_per_s: must be a number, got {rate_raw!r}")
-    else:
-        rate = float(rate_raw)
-
-    prompt = _parse_lognormal(obj, "prompt_tokens", "generator", defaults.prompt_tokens_dist)
-    output = _parse_lognormal(obj, "output_tokens", "generator", defaults.output_tokens_dist)
-    duration = _parse_lognormal(obj, "duration", "generator", None)
-    assert prompt is not None and output is not None
-    try:
-        return GeneratorSpec(
-            request_count=_get_int(obj, "request_count", "generator", defaults.request_count),
-            seed=_get_int(obj, "seed", "generator", defaults.seed),
-            model_size_choices_b=choices,
-            prompt_tokens_dist=prompt,
-            output_tokens_dist=output,
-            arrival_rate_per_s=rate,
-            duration_dist=duration,
-        )
-    except ValidationError as exc:
-        raise ConfigError(f"generator: {exc}") from None
+                raise ValidationError("must be a [size, prob] pair")
+            pairs.append((read_number(pair[0]), read_number(pair[1])))
+        except ValidationError as exc:
+            raise ConfigError(f"{path}[{index}]: {exc}") from None
+    return tuple(pairs)
 
 
-_TOP_KEYS = ("cluster", "autoscale", "scheduler", "power", "profiler", "adaptor", "generator")
+_TEMPLATE: Dict[str, Reader] = {
+    "capacity": dict.fromkeys(("compute", "memory_gib", "storage_gib"), _number),
+    "p_idle_w": _number,
+    "p_max_w": _number,
+}
+_GROUP: Dict[str, Reader] = {
+    "count": _integer,
+    **_TEMPLATE,
+    "resident_utilization": lambda value, path: UtilizationVector(
+        **_fields(value, path, dict.fromkeys(("compute", "memory", "storage"), _fraction))
+    ),
+}
+
+
+def _template(base: NodeTemplate, parsed: Dict[str, Any], path: str) -> NodeTemplate:
+    """base with the set capacity axes and power keys replaced."""
+
+    capacity = _build(partial(replace, base.capacity), f"{path}.capacity", parsed.pop("capacity", {}))
+    return _build(partial(replace, base, capacity=capacity), path, parsed)
+
+
+def _cluster(value: object, path: str) -> Tuple[Node, ...]:
+    if not isinstance(value, list) or not value:
+        raise ConfigError(f"{path}: must be a non-empty list of node groups")
+    nodes: List[Node] = []
+    for index, group in enumerate(value):
+        parsed = _fields(group, f"{path}[{index}]", _GROUP)
+        count = parsed.pop("count", 1)
+        if count <= 0:
+            raise ConfigError(f"{path}[{index}].count: must be >= 1, got {count!r}")
+        resident = parsed.pop("resident_utilization", ZERO_UTILIZATION)
+        template = _template(DEFAULT_TEMPLATE, parsed, f"{path}[{index}]")
+        for _ in range(count):
+            node_id = f"node-{len(nodes) + 1}"
+            held = frozenset() if resident.is_zero() else frozenset({f"resident-{node_id}"})
+            nodes.append(Node(node_id, template, resident if held else ZERO_UTILIZATION, held))
+    return tuple(nodes)
+
+
+_SECTIONS: Dict[str, Reader] = {
+    "cluster": _cluster,
+    "autoscale": {"enabled": _boolean, **_TEMPLATE},
+    "scheduler": {
+        "threshold": lambda value, path: Threshold(read_number(value)),
+        "resort_after_each_allocation": _boolean,
+    },
+    "power": {"mode": _power_mode, "off_when_empty": _boolean},
+    "profiler": {field.name: _number for field in fields(ProfilerCoefficients)},
+    "adaptor": {"scale_down_grace_s": _number, "retain_min_nodes": _integer},
+    "generator": {
+        "request_count": _integer,
+        "seed": _integer,
+        "model_size_choices_b": _size_choices,
+        "prompt_tokens": _lognormal,
+        "output_tokens": _lognormal,
+        "arrival_rate_per_s": _number,
+        "duration": _lognormal,
+    },
+}
 
 
 def parse_config(document: Dict[str, object]) -> ExperimentConfig:
     """Validate a parsed JSON document into an ExperimentConfig."""
 
-    obj = _expect_object(document, "config")
-    _check_keys(obj, _TOP_KEYS, "config")
-    nodes, first_template = _parse_cluster(obj.get("cluster"))
-    autoscale_template = _parse_autoscale(obj.get("autoscale"), first_template)
-    power_policy = _parse_power(obj.get("power"))
-    scheduler = _parse_scheduler(obj.get("scheduler"), autoscale_template, power_policy)
+    sections = _fields(document, "config", _SECTIONS)
+    nodes = sections.get("cluster") or _cluster([{"count": DEFAULT_NODE_COUNT}], "cluster")
+    autoscale = sections.get("autoscale", {})
+    enabled = autoscale.pop("enabled", True)
+    scheduler = SchedulerConfig(
+        autoscale_template=_template(nodes[0].template, autoscale, "autoscale") if enabled else None,
+        power_policy=PowerPolicy(**sections.get("power", {})),
+        **sections.get("scheduler", {}),
+    )
+    generator = {  # each lognormal key sets GeneratorSpec's <key>_dist field
+        f"{key}_dist" if isinstance(value, LognormalSpec) else key: value
+        for key, value in sections.get("generator", {}).items()
+    }
     return ExperimentConfig(
         initial_nodes=nodes,
         scheduler=scheduler,
-        coefficients=_parse_profiler(obj.get("profiler")),
-        adaptor=_parse_adaptor(obj.get("adaptor")),
-        generator=_parse_generator(obj.get("generator")),
+        coefficients=_build(ProfilerCoefficients, "profiler", sections.get("profiler", {})),
+        adaptor=_build(AdaptorPolicy, "adaptor", sections.get("adaptor", {})),
+        generator=_build(GeneratorSpec, "generator", generator),
     )
 
 
@@ -397,6 +288,6 @@ def load_cluster_config(source: TextStream) -> ExperimentConfig:
         text = stream.read()
     try:
         document = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # a JSONDecodeError, or an integer past the digit limit
         raise ConfigError(f"config is not valid JSON: {exc}") from None
     return parse_config(document)

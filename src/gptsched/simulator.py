@@ -191,8 +191,8 @@ class _Timeline:
         on_event: Optional[Callable[[SimEvent, Sequence[Node]], None]],
     ) -> None:
         self.scheduler = _scheduler(algorithm_id)
-        if not snapshot_interval_s > 0.0:
-            raise ValidationError(f"snapshot_interval_s must be > 0, got {snapshot_interval_s!r}")
+        if not 0.0 < snapshot_interval_s < math.inf:  # 0 * inf is NaN: no grid point would match
+            raise ValidationError(f"snapshot_interval_s must be finite and > 0, got {snapshot_interval_s!r}")
         validate_unique_ids((r.id for r in workload), "request")
         last_departure = 0.0
         for request in workload:

@@ -31,7 +31,7 @@ import math
 from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Dict, IO, Iterator, List, Optional, Sequence, Tuple, Union
+from typing import Any, Dict, IO, Iterator, List, Optional, Sequence, Tuple, Union
 
 from .model import (
     GptRequest,
@@ -256,25 +256,53 @@ def request_to_dict(request: GptRequest) -> Dict[str, object]:
     return record
 
 
-def _require_number(obj: Dict[str, object], key: str, line_no: int) -> float:
-    value = obj[key]
+def read_number(value: object) -> float:
+    """A JSON number as a finite float, else a ValidationError naming no field.
+
+    NaN, the infinities and integers too large for a float are refused.
+    """
+
     if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise TraceParseError(line_no, f"field {key!r} must be a number, got {value!r}")
-    if not math.isfinite(float(value)):
-        raise TraceParseError(line_no, f"field {key!r} must be finite, got {value!r}")
-    return float(value)
+        raise ValidationError(f"must be a number, got {value!r}")
+    try:
+        number = float(value)
+    except OverflowError:
+        number = math.inf
+    if not math.isfinite(number):
+        raise ValidationError(f"must be finite, got {value!r}")
+    return number
 
 
-def _require_int(obj: Dict[str, object], key: str, line_no: int) -> int:
-    value = obj[key]
+def read_int(value: object) -> int:
+    """A JSON integer, refused as read_number refuses one too large for a float."""
+
     if isinstance(value, bool) or not isinstance(value, int):
-        raise TraceParseError(line_no, f"field {key!r} must be an integer, got {value!r}")
+        raise ValidationError(f"must be an integer, got {value!r}")
+    read_number(value)
     return value
+
+
+def _read_fields(obj: Dict[str, object], readers: Sequence[Tuple[str, Any]], line_no: int) -> Dict[str, Any]:
+    """The keys of obj that readers name, each read; a refusal names the field and line."""
+
+    values: Dict[str, Any] = {}
+    for key, read in readers:
+        if key in obj:
+            try:
+                values[key] = read(obj[key])
+            except ValidationError as exc:
+                raise TraceParseError(line_no, f"field {key!r} {exc}") from None
+    return values
 
 
 _REQUIRED_KEYS = ("id", "task_kind", "model_params_b", "prompt_tokens", "output_tokens")
 _OPTIONAL_KEYS = ("demand", "arrival_s", "duration_s", "deadline_s")
 _DEMAND_KEYS = ("compute", "memory_gib", "storage_gib")
+_DEMAND_READERS = tuple((key, read_number) for key in _DEMAND_KEYS)
+_NUMBER_READERS = (
+    ("model_params_b", read_number), ("arrival_s", read_number), ("duration_s", read_number),
+    ("deadline_s", read_number), ("prompt_tokens", read_int), ("output_tokens", read_int),
+)
 
 
 def request_from_dict(obj: Dict[str, object], line_no: int = 0) -> GptRequest:
@@ -307,32 +335,19 @@ def request_from_dict(obj: Dict[str, object], line_no: int = 0) -> GptRequest:
         raw = obj["demand"]
         if not isinstance(raw, dict) or set(raw) != set(_DEMAND_KEYS):
             raise TraceParseError(line_no, f"field 'demand' must have exactly keys {_DEMAND_KEYS}")
-        values = {key: _require_number(raw, key, line_no) for key in _DEMAND_KEYS}
+        values = _read_fields(raw, _DEMAND_READERS, line_no)
         try:
             demand = ResourceVector(**values)
         except ValidationError as exc:
             raise TraceParseError(line_no, str(exc)) from None
 
-    params = _require_number(obj, "model_params_b", line_no)
-    if demand is None and params <= 0.0:
+    fields = _read_fields(obj, _NUMBER_READERS, line_no)
+    if demand is None and fields["model_params_b"] <= 0.0:
         raise TraceParseError(
             line_no, "request without explicit demand must have model_params_b > 0"
         )
-
-    kwargs: Dict[str, object] = {}
-    for key in ("arrival_s", "duration_s", "deadline_s"):
-        if key in obj:
-            kwargs[key] = _require_number(obj, key, line_no)
     try:
-        return GptRequest(
-            id=request_id,
-            task_kind=kind,
-            model_params_b=params,
-            prompt_tokens=_require_int(obj, "prompt_tokens", line_no),
-            output_tokens=_require_int(obj, "output_tokens", line_no),
-            explicit_demand=demand,
-            **kwargs,
-        )
+        return GptRequest(id=request_id, task_kind=kind, explicit_demand=demand, **fields)
     except ValidationError as exc:
         raise TraceParseError(line_no, str(exc)) from None
 
@@ -354,8 +369,8 @@ def load_trace(source: TextStream) -> List[GptRequest]:
                 continue
             try:
                 obj = json.loads(text)
-            except json.JSONDecodeError as exc:
-                raise TraceParseError(line_no, f"invalid JSON: {exc.msg}") from None
+            except ValueError as exc:  # a JSONDecodeError, or an integer past the digit limit
+                raise TraceParseError(line_no, f"invalid JSON: {getattr(exc, 'msg', exc)}") from None
             request = request_from_dict(obj, line_no)
             if request.id in seen:
                 raise TraceParseError(

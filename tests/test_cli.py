@@ -319,3 +319,88 @@ def test_unencodable_request_id_exits_2_and_keeps_previous_output(tmp_path, caps
     assert err.startswith("gptsched: line 1:") and "UTF-8" in err
     assert out.read_bytes() == previous
     assert sorted(path.name for path in tmp_path.iterdir()) == ["out.json", "trace.jsonl"]
+
+
+# An integer literal with more digits than a float can hold: 1e400.
+HUGE_INT = "1" + "0" * 400
+
+
+@pytest.mark.parametrize(
+    "command, config, trace_line, fragment",
+    [
+        ("schedule", '{"scheduler": {"threshold": %s}}' % HUGE_INT, TWENTY_PCT_LINE,
+         "scheduler.threshold: must be finite"),
+        ("gen", '{"generator": {"model_size_choices_b": [[%s, 1]]}}' % HUGE_INT, None,
+         "generator.model_size_choices_b[0]: must be finite"),
+        ("schedule", None, TWENTY_PCT_LINE.replace('"model_params_b":0', '"model_params_b":' + HUGE_INT),
+         "line 1: field 'model_params_b' must be finite"),
+        ("schedule", None, TWENTY_PCT_LINE.replace('"prompt_tokens":0', '"prompt_tokens":' + HUGE_INT),
+         "line 1: field 'prompt_tokens' must be finite"),
+    ],
+    ids=["config-number", "config-size-pair", "trace-number", "trace-token-count"],
+)
+def test_integer_too_large_for_a_float_exits_2(tmp_path, capsys, command, config, trace_line, fragment) -> None:
+    args = [command, "--out", str(tmp_path / "out")]
+    if config is not None:
+        (tmp_path / "config.json").write_text(config, encoding="utf-8")
+        args += ["--config", str(tmp_path / "config.json")]
+    if command == "schedule":
+        trace = tmp_path / "trace.jsonl"
+        trace.write_text(trace_line, encoding="utf-8")
+        args += ["--workload", str(trace), "--algorithm", "max-util"]
+    assert main(args) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("gptsched: ") and fragment in err
+
+
+def _digit_limit_fragment(path_fragment: str) -> str:
+    """What a 5000-digit integer literal is refused with on this interpreter.
+
+    Python 3.11+ caps int/str conversion at 4300 digits by default, so the
+    JSON parser refuses the literal; without the cap it parses, and the
+    number reader refuses it as too large for a float.
+    """
+
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    return "valid JSON" if 0 < limit < 5000 else path_fragment
+
+
+def test_integer_past_the_digit_limit_in_config_exits_2(tmp_path, capsys, pct_trace) -> None:
+    config = tmp_path / "config.json"
+    config.write_text('{"scheduler": {"threshold": 1%s}}' % ("0" * 4999), encoding="utf-8")
+    assert main([
+        "schedule", "--workload", pct_trace, "--config", str(config),
+        "--algorithm", "max-util", "--out", str(tmp_path / "out.json"),
+    ]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("gptsched: ")
+    assert _digit_limit_fragment("scheduler.threshold: must be finite") in err
+
+
+def test_integer_past_the_digit_limit_in_trace_exits_2(tmp_path, capsys) -> None:
+    trace = tmp_path / "trace.jsonl"
+    trace.write_text(
+        TWENTY_PCT_LINE + TWENTY_PCT_LINE.replace('"r1"', '"r2"').replace(
+            '"prompt_tokens":0', '"prompt_tokens":1' + "0" * 4999
+        ),
+        encoding="utf-8",
+    )
+    assert main([
+        "schedule", "--workload", str(trace), "--algorithm", "max-util",
+        "--out", str(tmp_path / "out.json"),
+    ]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("gptsched: line 2: ")
+    assert _digit_limit_fragment("field 'prompt_tokens' must be finite") in err
+
+
+def test_simulate_infinite_interval_exits_2(tmp_path, capsys) -> None:
+    # 0 * inf is NaN, so an infinite grid would silently write no snapshot.
+    trace = tmp_path / "timed.jsonl"
+    trace.write_text(TIMED_TRACE, encoding="utf-8")
+    assert main([
+        "simulate", "--workload", str(trace), "--algorithm", "max-util",
+        "--snapshot-interval", "inf", "--out", str(tmp_path / "sim"),
+    ]) == 2
+    assert "snapshot_interval_s must be finite" in capsys.readouterr().err
+    assert not (tmp_path / "sim").exists()

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import io
 import json
+from pathlib import Path
 
 import pytest
 
@@ -180,3 +181,26 @@ def test_load_from_path(tmp_path) -> None:
     path.write_text('{"cluster": [{"count": 1}]}', encoding="utf-8")
     assert len(load_cluster_config(path).initial_nodes) == 1
     assert len(load_cluster_config(str(path)).initial_nodes) == 1
+
+
+def _readme_config_block() -> str:
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    section = readme.split("## Cluster configuration", 1)[1]
+    return section.split("```json\n", 1)[1].split("```", 1)[0]
+
+
+def test_readme_defaults_document_parses_to_the_defaults() -> None:
+    assert parse_config(json.loads(_readme_config_block())) == default_config()
+
+
+def test_null_sections_and_keys_are_unset() -> None:
+    document = json.loads(_readme_config_block())
+    nulled = {
+        section: {key: None for key in value} if isinstance(value, dict) else None
+        for section, value in document.items()
+    }
+    assert parse_config(nulled) == default_config()
+    assert parse_config(dict.fromkeys(document)) == default_config()
+    # A null inside a group leaves that key at its default too.
+    config = parse_config({"cluster": [{"count": 2, "capacity": {"compute": None}, "p_max_w": None}]})
+    assert [n.template for n in config.initial_nodes] == [DEFAULT_TEMPLATE] * 2
