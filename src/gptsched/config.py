@@ -280,12 +280,15 @@ def default_config() -> ExperimentConfig:
 def load_cluster_config(source: TextStream) -> ExperimentConfig:
     """Read and validate a JSON config from a path or text stream.
 
-    Raises ConfigError for unreadable JSON, unknown keys or any field
-    constraint violation; the message names the offending field path.
+    Raises ConfigError for text that is not UTF-8 or not JSON, unknown keys
+    or any field constraint violation; the message names the field path.
     """
 
     with open_text(source, "r") as stream:
-        text = stream.read()
+        try:
+            text = stream.read()
+        except UnicodeDecodeError as exc:
+            raise ConfigError(f"config is not valid UTF-8: {exc}") from None
     try:
         document = json.loads(text)
     except ValueError as exc:  # a JSONDecodeError, or an integer past the digit limit

@@ -7,10 +7,14 @@ Requests describe an inference task either by an explicit resource demand
 or by model/token attributes that a profiler can turn into one.
 
 All value types are frozen dataclasses so they can be compared, hashed
-where needed, and shared safely. The schedulers and the timeline mutate
-one scheduling.ClusterState in place; ``allocate_to_node`` and
-``release_from_node`` return new Node values and serve the public API and
-the naive reference the tests compare against.
+where needed, and shared safely. ResourceVector, UtilizationVector and
+GptRequest accept the common case, where every number is already an
+exact float (an exact int for token counts) in range, with one type test
+and one chained comparison per field; anything else takes the full
+check, which coerces the value or words the refusal. The schedulers and
+the timeline mutate one scheduling.ClusterState in place;
+``allocate_to_node`` and ``release_from_node`` return new Node values and
+serve the public API and the naive reference the tests compare against.
 """
 
 from __future__ import annotations
@@ -22,6 +26,7 @@ from typing import Dict, FrozenSet, Iterable, Mapping, Optional, Tuple
 
 # Absolute slack used by every feasibility comparison in the package.
 TOLERANCE = 1e-9
+_INF = math.inf
 
 
 class GptSchedError(Exception):
@@ -84,6 +89,9 @@ class ResourceVector:
     storage_gib: float
 
     def __post_init__(self) -> None:
+        c, m, s = self.compute, self.memory_gib, self.storage_gib
+        if type(c) is type(m) is type(s) is float and 0.0 <= c < _INF and 0.0 <= m < _INF and 0.0 <= s < _INF:
+            return
         object.__setattr__(self, "compute", _require_non_negative("compute", self.compute))
         object.__setattr__(self, "memory_gib", _require_non_negative("memory_gib", self.memory_gib))
         object.__setattr__(self, "storage_gib", _require_non_negative("storage_gib", self.storage_gib))
@@ -106,6 +114,9 @@ class UtilizationVector:
     storage: float = 0.0
 
     def __post_init__(self) -> None:
+        c, m, s = self.compute, self.memory, self.storage
+        if type(c) is type(m) is type(s) is float and 0.0 <= c < _INF and 0.0 <= m < _INF and 0.0 <= s < _INF:
+            return
         object.__setattr__(self, "compute", _require_non_negative("compute", self.compute))
         object.__setattr__(self, "memory", _require_non_negative("memory", self.memory))
         object.__setattr__(self, "storage", _require_non_negative("storage", self.storage))
@@ -190,6 +201,17 @@ class GptRequest:
     def __post_init__(self) -> None:
         if not self.id:
             raise ValidationError("request id must be a non-empty string")
+        params, arrival, duration, deadline = self.model_params_b, self.arrival_s, self.duration_s, self.deadline_s
+        if (
+            type(self.task_kind) is TaskKind
+            and type(params) is float and 0.0 <= params < _INF
+            and type(self.prompt_tokens) is int and self.prompt_tokens >= 0
+            and type(self.output_tokens) is int and self.output_tokens >= 0
+            and (arrival is None or type(arrival) is float and 0.0 <= arrival < _INF)
+            and (duration is None or type(duration) is float and 0.0 < duration < _INF)
+            and (deadline is None or type(deadline) is float and 0.0 < deadline < _INF)
+        ):
+            return
         if not isinstance(self.task_kind, TaskKind):
             raise ValidationError(f"task_kind must be a TaskKind, got {self.task_kind!r}")
         object.__setattr__(

@@ -43,8 +43,9 @@ removal moves only the touched node's entry with bisect. A call on an
 existing state therefore costs O(log N) per placement plus its scan, not
 a sort of every node.
 
-A sort-once first-fit call scans linearly for its first request only. At
-its second pick it builds a segment tree of per-axis headroom over its
+A sort-once first-fit call scans linearly for its first request only (a
+one-request call reads the live order in place, with no copy). At its
+second pick it builds a segment tree of per-axis headroom over its
 scan order (Johnson's O(n log n) first fit, with one maximum per resource
 axis as in vector bin packing), so every later pick finds its node in
 O(log N) and decides it with the same exact test. Resort scans stay
@@ -186,13 +187,18 @@ class AllocationOutcome:
         """The outcome the decision records imply: placed requests with
         their nodes, rejected ids and created node ids, in decision order."""
 
-        placed = [r for r in trace if r.chosen_node_id is not None]
-        return cls(
-            {r.request_id: r.chosen_node_id for r in placed},
-            tuple(r.request_id for r in trace if r.chosen_node_id is None),
-            tuple(r.chosen_node_id for r in placed if r.created_node),
-            tuple(trace),
-        )
+        allocation: Dict[str, str] = {}
+        unallocated: List[str] = []
+        created: List[str] = []
+        for record in trace:
+            node_id = record.chosen_node_id
+            if node_id is None:
+                unallocated.append(record.request_id)
+            else:
+                allocation[record.request_id] = node_id
+                if record.created_node:
+                    created.append(node_id)
+        return cls(allocation, tuple(unallocated), tuple(created), tuple(trace))
 
 
 class NodeIdSequence:
@@ -543,23 +549,25 @@ class _FirstFit:
     """Scan order and choice rule of the two threshold schedulers.
 
     A resort scan reads the state's live utilization order, so each request
-    sees the current ordering, and scans it linearly. A sort-once scan
-    copies the live order at call start and appends the nodes it creates;
-    its first pick scans linearly, and from its second pick a
-    _HeadroomTree over the order yields the candidates. Either way each
-    candidate is decided by the one exact test in pick().
+    sees the current ordering, and scans it linearly. A sort-once scan of
+    several requests copies the live order at call start and appends the
+    nodes it creates; its first pick scans linearly, and from its second
+    pick a _HeadroomTree over the order yields the candidates. A one-request
+    call makes no copy: its one pick reads the live order before anything
+    is placed. Either way each candidate is decided by the one exact test.
 
     A sort-once order only grows, so from the second pick on the scanned
     ids of its decisions are prefixes of one id list, extended only as far
     as a pick has reached. A linear pick wraps a fresh tuple of its own.
     """
 
-    def __init__(self, state: ClusterState, config: SchedulerConfig, descending: bool) -> None:
+    def __init__(self, state: ClusterState, config: SchedulerConfig, picks: int, descending: bool) -> None:
         live = state.util_order(descending)
         self.state = state
         self.descending = descending
         self.resort = config.resort_after_each_allocation
-        self.order = live if self.resort else list(live)
+        self.copied = not self.resort and picks > 1
+        self.order = list(live) if self.copied else live
         self.limit = config.threshold.value + TOLERANCE
         self.linear = True
         self.tree: Optional[_HeadroomTree] = None
@@ -606,8 +614,8 @@ class _FirstFit:
         return ScanPrefix(ids, length)
 
     def created(self, i: int) -> None:
-        # add_node already put the node into the live order.
-        if not self.resort:
+        # add_node already put the node into the live order; a copy needs it too.
+        if self.copied:
             self.order.append(self.state.util_entry(i, self.descending))
             self.last = len(self.order) - 1
 
@@ -616,7 +624,7 @@ class _MinPowerDelta:
     """Scan order and choice rule of the power scheduler: the state's live
     id order."""
 
-    def __init__(self, state: ClusterState, config: SchedulerConfig) -> None:
+    def __init__(self, state: ClusterState, config: SchedulerConfig, picks: int) -> None:
         self.state = state
         self.absolute = config.power_policy.mode is PowerMode.ABSOLUTE_AFTER
         self.limit = 1.0 + TOLERANCE
@@ -664,7 +672,7 @@ def _schedule(
     config: SchedulerConfig,
     coeffs: ProfilerCoefficients,
     id_sequence: Optional[NodeIdSequence],
-    make_scan: Callable[[ClusterState, SchedulerConfig], Union[_FirstFit, _MinPowerDelta]],
+    make_scan: Callable[[ClusterState, SchedulerConfig, int], Union[_FirstFit, _MinPowerDelta]],
 ) -> AllocationOutcome:
     """The placement skeleton shared by the three schedulers.
 
@@ -674,20 +682,25 @@ def _schedule(
     """
 
     state = nodes if isinstance(nodes, ClusterState) else ClusterState(nodes, config.power_policy)
-    validate_unique_ids((r.id for r in queue), "request")
+    if len(queue) > 1:  # one request has no id to repeat and no order to sort
+        validate_unique_ids((r.id for r in queue), "request")
     for request in queue:
         if request.id in state.held:
             raise ValidationError(f"request {request.id!r} is already allocated on a node")
-    demands, ordered = _resolve_and_order(queue, coeffs)
+    # Requests with their demands, by descending compute demand, ties by id.
+    placements = [(r, estimate_demand(r, coeffs)) for r in queue]
+    if len(placements) > 1:
+        placements.sort(key=lambda p: (-p[1].compute, p[0].id))
     seq = id_sequence if id_sequence is not None else NodeIdSequence()
     state.reserve_ids(seq)
-    scan = make_scan(state, config)
+    scan = make_scan(state, config, len(placements))
+    if state is not nodes and not config.resort_after_each_allocation:
+        state.by_util.clear()  # nothing reads this call's own state's orders again
     template = config.autoscale_template
 
     trace: List[DecisionRecord] = []
 
-    for request in ordered:
-        demand = demands[request.id]
+    for request, demand in placements:
         dc, dm, ds = demand.compute, demand.memory_gib, demand.storage_gib
         chosen, scanned, estimates = scan.pick(dc, dm, ds)
         fresh = False
@@ -708,14 +721,6 @@ def _schedule(
     if state is not nodes:
         nodes[:] = state
     return AllocationOutcome.from_trace(trace)
-
-
-def _resolve_and_order(
-    queue: Sequence[GptRequest], coeffs: ProfilerCoefficients
-) -> Tuple[Dict[str, ResourceVector], List[GptRequest]]:
-    demands = {r.id: estimate_demand(r, coeffs) for r in queue}
-    ordered = sorted(queue, key=lambda r: (-demands[r.id].compute, r.id))
-    return demands, ordered
 
 
 def schedule_max_util(

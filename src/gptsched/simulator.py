@@ -242,17 +242,6 @@ class _Timeline:
         ]
         heapq.heapify(self.heap)
 
-    def _record_power(self, time_s: float) -> None:
-        # The same per-node draws summed in the same order as total_power.
-        watts = sum(self.state.power)
-        if not self.power_steps or self.power_steps[-1][1] != watts:
-            self.power_steps.append((time_s, watts))
-
-    def _emit(self, event: SimEvent) -> None:
-        self.events.append(event)
-        if self.on_event is not None:
-            self.on_event(event, self.state)
-
     def _arrive(self, time_s: float, request_id: str) -> SimEvent:
         request = self.requests[request_id]
         outcome = self.scheduler(
@@ -260,11 +249,12 @@ class _Timeline:
         )
         record = outcome.trace[0]
         self.trace.append(record)
-        if record.chosen_node_id is not None:
+        node_id = record.chosen_node_id
+        if node_id is not None:
             self.live[request_id] = record
-            self.empty_since.pop(record.chosen_node_id, None)
+            self.empty_since.pop(node_id, None)
             heapq.heappush(self.heap, (time_s + request.duration_s, _DEPARTURE, request_id, 0.0))
-        return SimEvent(time_s, EventKind.ARRIVAL, request_id=request_id)
+        return SimEvent(time_s, EventKind.ARRIVAL, request_id)
 
     def _depart(self, time_s: float, request_id: str) -> SimEvent:
         record = self.live.pop(request_id)
@@ -274,7 +264,7 @@ class _Timeline:
             heapq.heappush(
                 self.heap, (time_s + self.adaptor.scale_down_grace_s, _SCALE_CHECK, node_id, time_s)
             )
-        return SimEvent(time_s, EventKind.DEPARTURE, request_id=request_id)
+        return SimEvent(time_s, EventKind.DEPARTURE, request_id)
 
     def _scale_check_effective(self, node_id: str, armed_at: float) -> bool:
         """Whether a due scale check will actually remove its node.
@@ -310,25 +300,31 @@ class _Timeline:
                     power_w=state.power[i],
                 )
             )
-        self._emit(SimEvent(time_s, EventKind.SNAPSHOT))
+        event = SimEvent(time_s, EventKind.SNAPSHOT)
+        self.events.append(event)
+        if self.on_event is not None:
+            self.on_event(event, state)
 
     def run(self) -> TimelineResult:
-        self._record_power(0.0)
+        heap, interval, state, steps = self.heap, self.interval, self.state, self.power_steps
+        append_event, on_event = self.events.append, self.on_event
+        # After each event, the total of the draws, summed as total_power sums them.
+        steps.append((0.0, sum(state.power)))
         snap_index = 0  # next grid point is snap_index * interval
 
-        while self.heap:
-            time_s, rank, key, armed_at = self.heap[0]
+        while heap:
+            time_s, rank, key, armed_at = heap[0]
             if rank == _SCALE_CHECK and not self._scale_check_effective(key, armed_at):
                 # A no-op check is not activity: drop it before the
                 # snapshot grid runs ahead of the real horizon.
-                heapq.heappop(self.heap)
+                heapq.heappop(heap)
                 continue
-            snap_time = snap_index * self.interval
+            snap_time = snap_index * interval
             if snap_time < time_s or (snap_time == time_s and rank > _SNAPSHOT):
                 self._snapshot(snap_time)
                 snap_index += 1
                 continue
-            heapq.heappop(self.heap)
+            heapq.heappop(heap)
             if rank == _ARRIVAL:
                 event = self._arrive(time_s, key)
             elif rank == _DEPARTURE:
@@ -336,8 +332,12 @@ class _Timeline:
             else:
                 event = self._scale_down(time_s, key)
             self.horizon = time_s
-            self._record_power(time_s)
-            self._emit(event)
+            watts = sum(state.power)
+            if steps[-1][1] != watts:
+                steps.append((time_s, watts))
+            append_event(event)
+            if on_event is not None:
+                on_event(event, state)
 
         # Trailing grid points up to the horizon; state no longer changes.
         if self.horizon is not None:
@@ -363,18 +363,16 @@ class _Timeline:
         )
 
     def _integrate_energy(self) -> float:
-        if self.horizon is None or not self.power_steps:
+        horizon, steps = self.horizon, self.power_steps
+        if horizon is None or not steps:
             return 0.0
         watt_seconds = 0.0
-        for index, (start, watts) in enumerate(self.power_steps):
-            if start >= self.horizon:
+        # Each step lasts until the next one starts, the last until the horizon.
+        ends = [start for start, _ in steps[1:]] + [horizon]
+        for (start, watts), end in zip(steps, ends):
+            if start >= horizon:
                 break
-            end = (
-                self.power_steps[index + 1][0]
-                if index + 1 < len(self.power_steps)
-                else self.horizon
-            )
-            watt_seconds += watts * (min(end, self.horizon) - start)
+            watt_seconds += watts * (min(end, horizon) - start)
         return watt_seconds / 3600.0
 
 

@@ -262,6 +262,8 @@ def read_number(value: object) -> float:
     NaN, the infinities and integers too large for a float are refused.
     """
 
+    if type(value) is float and -math.inf < value < math.inf:
+        return value
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ValidationError(f"must be a number, got {value!r}")
     try:
@@ -276,6 +278,8 @@ def read_number(value: object) -> float:
 def read_int(value: object) -> int:
     """A JSON integer, refused as read_number refuses one too large for a float."""
 
+    if type(value) is int and -(2**53) <= value <= 2**53:  # finite as a float
+        return value
     if isinstance(value, bool) or not isinstance(value, int):
         raise ValidationError(f"must be an integer, got {value!r}")
     read_number(value)
@@ -296,9 +300,12 @@ def _read_fields(obj: Dict[str, object], readers: Sequence[Tuple[str, Any]], lin
 
 
 _REQUIRED_KEYS = ("id", "task_kind", "model_params_b", "prompt_tokens", "output_tokens")
-_OPTIONAL_KEYS = ("demand", "arrival_s", "duration_s", "deadline_s")
+_REQUIRED = frozenset(_REQUIRED_KEYS)
+_KNOWN = _REQUIRED | {"demand", "arrival_s", "duration_s", "deadline_s"}
 _DEMAND_KEYS = ("compute", "memory_gib", "storage_gib")
+_DEMAND = frozenset(_DEMAND_KEYS)
 _DEMAND_READERS = tuple((key, read_number) for key in _DEMAND_KEYS)
+_TASK_KINDS_BY_VALUE = {kind.value: kind for kind in TaskKind}
 _NUMBER_READERS = (
     ("model_params_b", read_number), ("arrival_s", read_number), ("duration_s", read_number),
     ("deadline_s", read_number), ("prompt_tokens", read_int), ("output_tokens", read_int),
@@ -310,12 +317,11 @@ def request_from_dict(obj: Dict[str, object], line_no: int = 0) -> GptRequest:
 
     if not isinstance(obj, dict):
         raise TraceParseError(line_no, f"record must be a JSON object, got {type(obj).__name__}")
-    for key in _REQUIRED_KEYS:
-        if key not in obj:
-            raise TraceParseError(line_no, f"missing required field {key!r}")
-    unknown = set(obj) - set(_REQUIRED_KEYS) - set(_OPTIONAL_KEYS)
-    if unknown:
-        raise TraceParseError(line_no, f"unknown fields {sorted(unknown)}")
+    if not obj.keys() >= _REQUIRED:
+        missing = next(key for key in _REQUIRED_KEYS if key not in obj)
+        raise TraceParseError(line_no, f"missing required field {missing!r}")
+    if not obj.keys() <= _KNOWN:
+        raise TraceParseError(line_no, f"unknown fields {sorted(obj.keys() - _KNOWN)}")
 
     request_id = obj["id"]
     if not isinstance(request_id, str) or not request_id:
@@ -325,15 +331,17 @@ def request_from_dict(obj: Dict[str, object], line_no: int = 0) -> GptRequest:
     except UnicodeEncodeError:
         raise TraceParseError(line_no, f"field 'id' must be encodable as UTF-8, got {request_id!r}") from None
     kind_value = obj["task_kind"]
-    try:
-        kind = TaskKind(kind_value)
-    except ValueError:
-        raise TraceParseError(line_no, f"unknown task_kind {kind_value!r}") from None
+    kind = _TASK_KINDS_BY_VALUE.get(kind_value) if type(kind_value) is str else None
+    if kind is None:
+        try:
+            kind = TaskKind(kind_value)
+        except ValueError:
+            raise TraceParseError(line_no, f"unknown task_kind {kind_value!r}") from None
 
     demand: Optional[ResourceVector] = None
     if "demand" in obj:
         raw = obj["demand"]
-        if not isinstance(raw, dict) or set(raw) != set(_DEMAND_KEYS):
+        if not isinstance(raw, dict) or raw.keys() != _DEMAND:
             raise TraceParseError(line_no, f"field 'demand' must have exactly keys {_DEMAND_KEYS}")
         values = _read_fields(raw, _DEMAND_READERS, line_no)
         try:
@@ -352,32 +360,54 @@ def request_from_dict(obj: Dict[str, object], line_no: int = 0) -> GptRequest:
         raise TraceParseError(line_no, str(exc)) from None
 
 
+_raw_decode = json.JSONDecoder().raw_decode
+
+
+def _decode_line(text: str, line_no: int) -> object:
+    """One stripped line's JSON value; a refusal keeps json.loads' message."""
+
+    try:
+        obj, end = _raw_decode(text)
+        if end == len(text):
+            return obj
+    except ValueError:
+        pass
+    try:
+        return json.loads(text)
+    except ValueError as exc:  # a JSONDecodeError, or an integer past the digit limit
+        raise TraceParseError(line_no, f"invalid JSON: {getattr(exc, 'msg', exc)}") from None
+
+
 def load_trace(source: TextStream) -> List[GptRequest]:
     """Read a JSON Lines trace from a path or text stream.
 
     Blank lines are skipped. Raises TraceParseError (with the 1-based line
-    number) for malformed lines, unknown fields, constraint violations and
-    duplicate request ids.
+    number) for malformed lines, unknown fields, constraint violations,
+    duplicate request ids and text that is not UTF-8.
     """
 
     with open_text(source, "r") as stream:
         requests: List[GptRequest] = []
         seen: Dict[str, int] = {}
-        for line_no, line in enumerate(stream, start=1):
-            text = line.strip()
-            if not text:
-                continue
-            try:
-                obj = json.loads(text)
-            except ValueError as exc:  # a JSONDecodeError, or an integer past the digit limit
-                raise TraceParseError(line_no, f"invalid JSON: {getattr(exc, 'msg', exc)}") from None
-            request = request_from_dict(obj, line_no)
-            if request.id in seen:
-                raise TraceParseError(
-                    line_no, f"duplicate request id {request.id!r} (first seen on line {seen[request.id]})"
-                )
-            seen[request.id] = line_no
-            requests.append(request)
+        line_no = 0
+        try:
+            for line_no, line in enumerate(stream, start=1):
+                text = line.strip()
+                if not text:
+                    continue
+                request = request_from_dict(_decode_line(text, line_no), line_no)
+                first = seen.setdefault(request.id, line_no)
+                if first != line_no:
+                    raise TraceParseError(
+                        line_no, f"duplicate request id {request.id!r} (first seen on line {first})"
+                    )
+                requests.append(request)
+        except UnicodeDecodeError as exc:
+            # Text is decoded a block at a time, from the line after the last
+            # one read; count the line endings (LF, CR LF, CR) before the byte.
+            head, byte = exc.object[: exc.start], exc.object[exc.start]
+            line_no += 1 + head.count(b"\n") + head.count(b"\r") - head.count(b"\r\n")
+            raise TraceParseError(line_no, f"not valid UTF-8: byte 0x{byte:02x} ({exc.reason})") from None
         return requests
 
 

@@ -25,16 +25,23 @@ result types so tests can compare with ==.
 
 ref_canonical_json is the reference for reportio.canonical_json: the
 straightforward recursive encoder with one json.dumps call per string.
+
+ref_resource_vector, ref_utilization_vector and ref_request_fields apply
+the value rules of ResourceVector, UtilizationVector and GptRequest with a
+full check of every field, and ref_read_number and ref_read_int those of
+the trace parser's number readers; each returns the values the type or
+reader keeps, or raises what it raises.
 """
 
 from __future__ import annotations
 
 import heapq
 import json
+import math
 from typing import Dict, List, Optional, Sequence
 
 from gptsched.metrics import build_report
-from gptsched.model import GptRequest, Node, NodeTemplate, ValidationError, release_from_node
+from gptsched.model import GptRequest, Node, NodeTemplate, TaskKind, ValidationError, release_from_node
 from gptsched.power import PowerMode, PowerPolicy, node_power, total_power
 from gptsched.profiler import ProfilerCoefficients, estimate_demand
 from gptsched.reportio import format_float
@@ -491,3 +498,76 @@ def ref_canonical_json(value: object) -> str:
     if isinstance(value, (list, tuple)):
         return "[" + ",".join(ref_canonical_json(item) for item in value) + "]"
     raise ValidationError(f"cannot serialize {type(value).__name__} canonically")
+
+
+def _ref_finite(name: str, value: float) -> float:
+    if not math.isfinite(value):
+        raise ValidationError(f"{name} must be finite, got {value!r}")
+    return float(value)
+
+
+def _ref_non_negative(name: str, value: float) -> float:
+    value = _ref_finite(name, value)
+    if value < 0.0:
+        raise ValidationError(f"{name} must be >= 0, got {value!r}")
+    return value
+
+
+def ref_resource_vector(compute: float, memory_gib: float, storage_gib: float) -> tuple:
+    return (
+        _ref_non_negative("compute", compute),
+        _ref_non_negative("memory_gib", memory_gib),
+        _ref_non_negative("storage_gib", storage_gib),
+    )
+
+
+def ref_utilization_vector(compute: float, memory: float, storage: float) -> tuple:
+    return (
+        _ref_non_negative("compute", compute),
+        _ref_non_negative("memory", memory),
+        _ref_non_negative("storage", storage),
+    )
+
+
+def ref_request_fields(
+    request_id: str, task_kind: object, model_params_b: object, prompt_tokens: object,
+    output_tokens: object, arrival_s: object, duration_s: object, deadline_s: object,
+) -> dict:
+    """The numeric fields a GptRequest keeps, in field order."""
+
+    if not request_id:
+        raise ValidationError("request id must be a non-empty string")
+    if not isinstance(task_kind, TaskKind):
+        raise ValidationError(f"task_kind must be a TaskKind, got {task_kind!r}")
+    fields = {"model_params_b": _ref_non_negative("model_params_b", model_params_b)}
+    for name, value in (("prompt_tokens", prompt_tokens), ("output_tokens", output_tokens)):
+        if not isinstance(value, int) or isinstance(value, bool) or value < 0:
+            raise ValidationError(f"{name} must be a non-negative int, got {value!r}")
+        fields[name] = value
+    fields["arrival_s"] = None if arrival_s is None else _ref_non_negative("arrival_s", arrival_s)
+    for name, value in (("duration_s", duration_s), ("deadline_s", deadline_s)):
+        if value is not None:
+            value = _ref_finite(name, value)
+            if value <= 0.0:
+                raise ValidationError(f"{name} must be > 0, got {value!r}")
+        fields[name] = value
+    return fields
+
+
+def ref_read_number(value: object) -> float:
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ValidationError(f"must be a number, got {value!r}")
+    try:
+        number = float(value)
+    except OverflowError:
+        number = math.inf
+    if not math.isfinite(number):
+        raise ValidationError(f"must be finite, got {value!r}")
+    return number
+
+
+def ref_read_int(value: object) -> int:
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValidationError(f"must be an integer, got {value!r}")
+    ref_read_number(value)
+    return value

@@ -404,3 +404,30 @@ def test_simulate_infinite_interval_exits_2(tmp_path, capsys) -> None:
     ]) == 2
     assert "snapshot_interval_s must be finite" in capsys.readouterr().err
     assert not (tmp_path / "sim").exists()
+
+
+def test_trace_that_is_not_utf8_exits_2(tmp_path, capsys) -> None:
+    trace = tmp_path / "bad.jsonl"
+    trace.write_bytes(b"\xff\xfe" + TWENTY_PCT_LINE.encode())
+    assert main([
+        "schedule", "--workload", str(trace), "--algorithm", "max-util",
+        "--out", str(tmp_path / "out.json"),
+    ]) == 2
+    assert capsys.readouterr().err == "gptsched: line 1: not valid UTF-8: byte 0xff (invalid start byte)\n"
+    assert not (tmp_path / "out.json").exists()
+
+
+def test_config_that_is_not_utf8_exits_2(tmp_path, capsys) -> None:
+    config = tmp_path / "config.json"
+    config.write_bytes(b'{"cluster": [{"count": 2}], "name": "\xe9"}')
+    trace = tmp_path / "trace.jsonl"
+    trace.write_text(TWENTY_PCT_LINE, encoding="utf-8")
+    assert main([
+        "schedule", "--workload", str(trace), "--config", str(config),
+        "--algorithm", "max-util", "--out", str(tmp_path / "out.json"),
+    ]) == 2
+    assert capsys.readouterr().err == (
+        "gptsched: config is not valid UTF-8: 'utf-8' codec can't decode byte 0xe9 "
+        "in position 37: invalid continuation byte\n"
+    )
+    assert not (tmp_path / "out.json").exists()

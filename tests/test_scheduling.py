@@ -7,7 +7,7 @@ import random
 from dataclasses import replace
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from gptsched import (
@@ -434,6 +434,43 @@ def test_cluster_state_orders_stay_sorted(initial_util, built, ops) -> None:
         _assert_orders_sorted(state)
         for name, order in live.items():
             assert orders[name]() is order
+
+
+@settings(max_examples=200, deadline=None)
+@example([0.5, 0.75], {"descending", "ascending"}, 60.0, True, False)
+@example([0.5, 0.75], {"id"}, 60.0, False, True)
+@given(
+    st.lists(st.sampled_from([0.0, 0.1, 0.25, 0.5, 0.75]), max_size=6),
+    st.sets(st.sampled_from(["id", "descending", "ascending"])),
+    st.sampled_from([10.0, 30.0, 60.0, 80.0]),
+    st.booleans(),
+    st.booleans(),
+)
+def test_one_request_call_scans_the_live_order_in_place(initial_util, built, demand, descending, resort) -> None:
+    # A one-request first-fit call reads the state's live order without a
+    # copy. A node it creates enters that order once, through add_node.
+    nodes = [node(_NODE_IDS[k], template(), (u, u, u)) for k, u in enumerate(initial_util)]
+    state = ClusterState(nodes)
+    orders = {
+        "id": state.id_order,
+        "descending": lambda: state.util_order(True),
+        "ascending": lambda: state.util_order(False),
+    }
+    live = {name: orders[name]() for name in built}
+    before = [entry[1] for entry in state.util_order(descending)]
+    schedule = schedule_max_util if descending else schedule_load_balance
+    config = _config(autoscale=True, resort_after_each_allocation=resort)
+    record = schedule([request("q", demand, demand, demand)], state, config).trace[0]
+
+    _assert_orders_sorted(state)
+    for name, order in live.items():
+        assert orders[name]() is order
+    if record.created_node:
+        assert len(state) == len(nodes) + 1
+        assert record.scanned == tuple(before)
+    else:
+        assert record.scanned == tuple(before[: len(record.scanned)])
+        assert record.chosen_node_id == record.scanned[-1]
 
 
 def test_state_reserves_its_current_ids_in_a_returning_sequence() -> None:

@@ -306,3 +306,63 @@ def test_id_that_utf8_cannot_encode_is_rejected_with_its_line() -> None:
     with pytest.raises(TraceParseError, match="line 2: field 'id' must be encodable as UTF-8") as info:
         load_trace(io.StringIO(lines))
     assert info.value.line_no == 2
+
+
+_OPEN_LINE = '{"id":"r1","task_kind":"chat","model_params_b":7.0,"prompt_tokens":10,"output_tokens":20'
+
+# Each refusal's exact text, as the parser worded it before its fast paths;
+# every one of these inputs misses the fast path and takes the full check.
+PINNED_MESSAGES = {
+    "trailing data": (_OPEN_LINE + '} {"id":"r2"}', "invalid JSON: Extra data"),
+    "byte order mark": ("\ufeff" + _OPEN_LINE + "}", "invalid JSON: Unexpected UTF-8 BOM (decode using utf-8-sig)"),
+    "list task_kind": (_OPEN_LINE.replace('"chat"', '["chat"]') + "}", "unknown task_kind ['chat']"),
+    "true as a number": (
+        _OPEN_LINE.replace("7.0", "true") + "}", "field 'model_params_b' must be a number, got True"
+    ),
+    "prompt_tokens past the float range": (
+        _OPEN_LINE.replace(":10,", f":{10**309},") + "}", f"field 'prompt_tokens' must be finite, got {10**309}"
+    ),
+    "missing field": (_OPEN_LINE.replace('"prompt_tokens":10,', "") + "}", "missing required field 'prompt_tokens'"),
+    "unknown fields": (_OPEN_LINE + ',"zeta":1,"alpha":2}', "unknown fields ['alpha', 'zeta']"),
+    "demand with extra keys": (
+        _OPEN_LINE + ',"demand":{"compute":1,"memory_gib":1,"storage_gib":1,"gpu":1}}',
+        "field 'demand' must have exactly keys ('compute', 'memory_gib', 'storage_gib')",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(PINNED_MESSAGES))
+def test_parse_refusals_keep_their_exact_text(case: str) -> None:
+    line, message = PINNED_MESSAGES[case]
+    with pytest.raises(TraceParseError) as info:
+        load_trace(io.StringIO("\n" + line + "\n"))
+    assert str(info.value) == f"line 2: {message}"
+
+
+def test_byte_order_mark_in_a_file_is_refused_on_line_1(tmp_path) -> None:
+    path = tmp_path / "bom.jsonl"
+    path.write_bytes(b"\xef\xbb\xbf" + (_OPEN_LINE + "}\n").encode())
+    with pytest.raises(TraceParseError) as info:
+        load_trace(path)
+    assert str(info.value) == "line 1: invalid JSON: Unexpected UTF-8 BOM (decode using utf-8-sig)"
+
+
+@pytest.mark.parametrize("newline", [b"\n", b"\r\n", b"\r"])
+@pytest.mark.parametrize("bad_line", [1, 3, 300])
+def test_byte_that_is_not_utf8_is_reported_on_its_line(tmp_path, newline: bytes, bad_line: int) -> None:
+    # Text is decoded a block at a time; line 300 lies well past the first block.
+    lines = [(_OPEN_LINE.replace('"r1"', f'"r{n}"') + "}").encode() for n in range(1, 401)]
+    lines[bad_line - 1] = lines[bad_line - 1].replace(b"chat", b"ch\xe9t")
+    path = tmp_path / "latin1.jsonl"
+    path.write_bytes(newline.join(lines) + newline)
+    with pytest.raises(TraceParseError) as info:
+        load_trace(path)
+    assert str(info.value) == f"line {bad_line}: not valid UTF-8: byte 0xe9 (invalid continuation byte)"
+
+
+def test_truncated_utf8_at_the_end_is_reported_on_its_line(tmp_path) -> None:
+    path = tmp_path / "truncated.jsonl"
+    path.write_bytes((_OPEN_LINE + "}\n\n").encode() + b"\xe2\x82")
+    with pytest.raises(TraceParseError) as info:
+        load_trace(path)
+    assert str(info.value) == "line 3: not valid UTF-8: byte 0xe2 (unexpected end of data)"
