@@ -64,6 +64,9 @@ from .workload import GeneratorSpec, LognormalSpec, TextStream, open_text, read_
 DEFAULT_CAPACITY = ResourceVector(compute=1000.0, memory_gib=512.0, storage_gib=2000.0)
 DEFAULT_TEMPLATE = NodeTemplate(capacity=DEFAULT_CAPACITY, p_idle_w=100.0, p_max_w=400.0)
 DEFAULT_NODE_COUNT = 4
+# The most nodes all cluster groups together may declare, refused before
+# any node is built.
+MAX_CLUSTER_NODES = 100_000
 
 _T = TypeVar("_T")
 
@@ -215,6 +218,10 @@ def _cluster(value: object, path: str) -> Tuple[Node, ...]:
         count = parsed.pop("count", 1)
         if count <= 0:
             raise ConfigError(f"{path}[{index}].count: must be >= 1, got {count!r}")
+        if len(nodes) + count > MAX_CLUSTER_NODES:
+            raise ConfigError(
+                f"{path}[{index}].count: {count!r} takes the cluster past {MAX_CLUSTER_NODES} nodes"
+            )
         resident = parsed.pop("resident_utilization", ZERO_UTILIZATION)
         template = _template(DEFAULT_TEMPLATE, parsed, f"{path}[{index}]")
         for _ in range(count):

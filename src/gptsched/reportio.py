@@ -6,17 +6,17 @@ produce identical bytes and a parse/re-serialize cycle is the identity.
 CSV output uses the same numeric formatting, a stable column order and LF
 line endings.
 
-Escaped strings are memoized per document, so a decision trace that lists
-the same node ids many times escapes each id once. The outcome document is
-written straight from the decision records: the id list a scan shares
+The outcome document is written straight from the decision records, each
+distinct string escaped once per document: the id list a scan shares
 between its decisions (ScanPrefix views) is encoded once, and each view is
 written as one slice of those bytes.
 
-A path sink is written chunk by chunk to a temporary file beside it, which
-replaces the path only once the whole document is written, so any error
-(ValidationError for a non-finite float or a string UTF-8 cannot encode)
-leaves an existing output untouched; a device or pipe path is written
-through. A stream sink receives the finished text in one write.
+A path sink (a symbolic link's target, for a link) is written chunk by
+chunk to a temporary file beside it, which replaces it only once the
+whole document is written, so any error (ValidationError for a non-finite
+float or a string UTF-8 cannot encode) leaves an existing output
+untouched; a device or pipe path is written through. A stream sink
+receives the finished text in one write.
 
 Schemas:
 
@@ -95,22 +95,13 @@ def canonical_json(value: object) -> str:
     and re-serializing reproduces the same bytes.
 
     The tree is walked once into one list of chunks, joined at the end.
-    Each distinct str is escaped once per call with encode_basestring (what
-    json.dumps(s, ensure_ascii=False) applies to a str). A ScanPrefix is
-    written as the array of its ids.
+    Strings are escaped with encode_basestring (what json.dumps(s,
+    ensure_ascii=False) applies to a str). A ScanPrefix is written as the
+    array of its ids.
     """
 
     chunks: List[str] = []
     append = chunks.append
-    memo: Dict[str, str] = {}
-
-    def escape(text: str) -> str:
-        if type(text) is not str:
-            return encode_basestring(text)
-        encoded = memo.get(text)
-        if encoded is None:
-            encoded = memo[text] = encode_basestring(text)
-        return encoded
 
     def emit(item: object) -> None:
         if item is None:
@@ -120,7 +111,7 @@ def canonical_json(value: object) -> str:
         elif item is False:
             append("false")
         elif isinstance(item, str):
-            append(escape(item))
+            append(encode_basestring(item))
         elif isinstance(item, int):
             append(str(item))
         elif isinstance(item, float):
@@ -129,7 +120,7 @@ def canonical_json(value: object) -> str:
             sep = "{"
             for key, child in item.items():
                 append(sep)
-                append(escape(str(key)))
+                append(encode_basestring(str(key)))
                 append(":")
                 emit(child)
                 sep = ","
@@ -229,6 +220,7 @@ def _write(chunks: Iterable[Union[bytes, memoryview]], sink: TextStream) -> None
             return
         temp = None
         if os.path.isfile(sink) or not os.path.exists(sink):
+            sink = os.path.realpath(sink)  # a link's target, beside which the temp file goes
             for attempt in count():
                 try:
                     temp = f"{sink}.{os.getpid()}.{attempt}.tmp"

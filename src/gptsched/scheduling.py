@@ -36,21 +36,22 @@ end (entries replaced with their post-allocation values, created nodes
 appended) so callers observe the resulting cluster state; the timeline
 passes its own ClusterState, which is placed into directly.
 
-The state keeps its scan orders: by node id, and by compute utilization
-in each first-fit direction. Each is sorted once, the first time a scan
-asks for it, and afterwards every allocation, release, node creation or
-removal moves only the touched node's entry with bisect. A call on an
-existing state therefore costs O(log N) per placement plus its scan, not
-a sort of every node.
+The state keeps the scan orders that calls read live: by node id, and
+by compute utilization in each first-fit direction. Each is sorted once,
+the first time a scan asks for it, and afterwards every allocation,
+release, node creation or removal moves only the touched node's entry
+with bisect. A call on an existing state therefore costs O(log N) per
+placement plus its scan, not a sort of every node.
 
-A sort-once first-fit call scans linearly for its first request only (a
-one-request call reads the live order in place, with no copy). At its
-second pick it builds a segment tree of per-axis headroom over its
-scan order (Johnson's O(n log n) first fit, with one maximum per resource
-axis as in vector bin packing), so every later pick finds its node in
-O(log N) and decides it with the same exact test. Resort scans stay
-linear, because their order changes on every pick; the power scheduler
-examines every node by definition.
+A sort-once first-fit call of several requests sorts its own scan order
+and scans it linearly for its first request only (a one-request call
+reads the state's order in place). At its second pick it builds a
+segment tree of per-axis headroom over its scan order (Johnson's
+O(n log n) first fit, with one maximum per resource axis as in vector
+bin packing), so every later pick finds its node in O(log N) and decides
+it with the same exact test. Resort scans stay linear, because their
+order changes on every pick; the power scheduler examines every node by
+definition.
 
 Within one sort-once call the scan order only grows by appends, so every
 decision's scanned ids are a prefix of one id list: each record holds a
@@ -204,8 +205,9 @@ class AllocationOutcome:
 class NodeIdSequence:
     """Source of created-node ids: auto-1, auto-2, ... skipping used ids.
 
-    The timeline simulator shares one sequence across many scheduling calls
-    so ids stay unique even after nodes are scaled down.
+    A scheduler draws again while the id is one its cluster holds. The
+    timeline simulator shares one sequence, seeded with the initial node
+    ids, across its scheduling calls so ids stay unique after scale-down.
     """
 
     def __init__(self, used: Iterable[str] = ()) -> None:
@@ -253,10 +255,10 @@ class ClusterState(Sequence[Node]):
     place into it directly; the timeline also releases and removes in
     place.
 
-    It also keeps the scan orders: id_order() and util_order(descending)
-    are sorted once, on first use, and from then on every add_node,
-    allocate, release and remove moves only the touched node's entry with
-    bisect. Ids are unique, so each order equals a fresh sort exactly.
+    It also keeps the scan orders that calls read live: id_order() and
+    util_order(descending) are sorted once, on first use, then every
+    add_node, allocate, release and remove moves only the touched node's
+    entry with bisect. Ids are unique, so each order equals a fresh sort.
 
     As a Sequence it is a live, read-only view of the nodes: len() costs
     O(1), and a Node value is built only when an entry is indexed or
@@ -265,7 +267,7 @@ class ClusterState(Sequence[Node]):
 
     __slots__ = (
         "policy", "ids", "index", "templates", "uc", "um", "us", "cc", "cm", "cs",
-        "pidle", "pmax", "alloc", "power", "held", "by_id", "by_util", "id_sequence", "new_ids",
+        "pidle", "pmax", "alloc", "power", "held", "by_id", "by_util",
     )
 
     def __init__(self, nodes: Sequence[Node], policy: PowerPolicy = DEFAULT_POWER_POLICY) -> None:
@@ -288,10 +290,6 @@ class ClusterState(Sequence[Node]):
         # The scan orders built so far; util orders are keyed by direction.
         self.by_id: Optional[List[Tuple[str, int]]] = None
         self.by_util: Dict[bool, List[Tuple[float, str, int]]] = {}
-        # The id sequence known to hold every id of the state, and the ids
-        # added since it last saw them.
-        self.id_sequence: Optional[NodeIdSequence] = None
-        self.new_ids: Set[str] = set()
         for node in nodes:
             i = self.add_node(node.id, node.template)
             self.uc[i], self.um[i], self.us[i] = node.utilization.as_tuple()
@@ -357,17 +355,6 @@ class ClusterState(Sequence[Node]):
             del order[bisect_left(order, (-old_uc if descending else old_uc, node_id))]
             insort(order, self.util_entry(i, descending))
 
-    def reserve_ids(self, sequence: NodeIdSequence) -> None:
-        """Make sequence skip every id of the state: all of them the first
-        time, then only the ids added since the same sequence last came."""
-
-        if sequence is self.id_sequence:
-            sequence.reserve(self.new_ids)
-        else:
-            sequence.reserve(self.ids)
-            self.id_sequence = sequence
-        self.new_ids.clear()
-
     def add_node(self, node_id: str, template: NodeTemplate) -> int:
         """Append an empty node; returns its index."""
 
@@ -387,7 +374,6 @@ class ClusterState(Sequence[Node]):
         self.alloc.append(set())
         self.power.append(0.0)
         self._price(i)
-        self.new_ids.add(node_id)
         if self.by_id is not None:
             insort(self.by_id, (node_id, i))
         for descending, order in self.by_util.items():
@@ -444,7 +430,6 @@ class ClusterState(Sequence[Node]):
         ):
             del column[i]
         self.index = {nid: j for j, nid in enumerate(self.ids)}
-        self.new_ids.discard(node_id)
         # Later nodes move down one index; the orders keep their sequence.
         if self.by_id is not None:
             self.by_id[:] = [(nid, j - (j > i)) for nid, j in self.by_id if j != i]
@@ -550,11 +535,11 @@ class _FirstFit:
 
     A resort scan reads the state's live utilization order, so each request
     sees the current ordering, and scans it linearly. A sort-once scan of
-    several requests copies the live order at call start and appends the
+    several requests sorts its own order at call start and appends the
     nodes it creates; its first pick scans linearly, and from its second
     pick a _HeadroomTree over the order yields the candidates. A one-request
-    call makes no copy: its one pick reads the live order before anything
-    is placed. Either way each candidate is decided by the one exact test.
+    call reads the state's live order, before anything is placed. Either
+    way each candidate is decided by the one exact test.
 
     A sort-once order only grows, so from the second pick on the scanned
     ids of its decisions are prefixes of one id list, extended only as far
@@ -562,12 +547,14 @@ class _FirstFit:
     """
 
     def __init__(self, state: ClusterState, config: SchedulerConfig, picks: int, descending: bool) -> None:
-        live = state.util_order(descending)
         self.state = state
         self.descending = descending
         self.resort = config.resort_after_each_allocation
-        self.copied = not self.resort and picks > 1
-        self.order = list(live) if self.copied else live
+        self.own = not self.resort and picks > 1
+        if self.own:
+            self.order = sorted([state.util_entry(i, descending) for i in range(len(state))])
+        else:
+            self.order = state.util_order(descending)
         self.limit = config.threshold.value + TOLERANCE
         self.linear = True
         self.tree: Optional[_HeadroomTree] = None
@@ -614,8 +601,8 @@ class _FirstFit:
         return ScanPrefix(ids, length)
 
     def created(self, i: int) -> None:
-        # add_node already put the node into the live order; a copy needs it too.
-        if self.copied:
+        # add_node put the node into the state's orders; an own order needs it too.
+        if self.own:
             self.order.append(self.state.util_entry(i, self.descending))
             self.last = len(self.order) - 1
 
@@ -692,10 +679,7 @@ def _schedule(
     if len(placements) > 1:
         placements.sort(key=lambda p: (-p[1].compute, p[0].id))
     seq = id_sequence if id_sequence is not None else NodeIdSequence()
-    state.reserve_ids(seq)
     scan = make_scan(state, config, len(placements))
-    if state is not nodes and not config.resort_after_each_allocation:
-        state.by_util.clear()  # nothing reads this call's own state's orders again
     template = config.autoscale_template
 
     trace: List[DecisionRecord] = []
@@ -707,7 +691,10 @@ def _schedule(
         if chosen < 0 and template is not None:
             cap, limit = template.capacity, scan.limit
             if dc / cap.compute <= limit and dm / cap.memory_gib <= limit and ds / cap.storage_gib <= limit:
-                chosen = state.add_node(seq.next_id(), template)
+                node_id = seq.next_id()
+                while node_id in state.index:
+                    node_id = seq.next_id()
+                chosen = state.add_node(node_id, template)
                 scan.created(chosen)
                 fresh = True
         if chosen < 0:

@@ -44,6 +44,9 @@ from .model import (
 MIN_TOKENS = 1
 MAX_TOKENS = 32768
 
+# The largest request_count a GeneratorSpec accepts.
+MAX_REQUEST_COUNT = 1_000_000
+
 _MASK64 = (1 << 64) - 1
 _GOLDEN_GAMMA = 0x9E3779B97F4A7C15
 
@@ -152,6 +155,8 @@ class GeneratorSpec:
     def __post_init__(self) -> None:
         if not isinstance(self.request_count, int) or self.request_count <= 0:
             raise ValidationError(f"request_count must be a positive int, got {self.request_count!r}")
+        if self.request_count > MAX_REQUEST_COUNT:
+            raise ValidationError(f"request_count must be at most {MAX_REQUEST_COUNT}, got {self.request_count!r}")
         if not isinstance(self.seed, int) or not 0 <= self.seed <= _MASK64:
             raise ValidationError(f"seed must be an unsigned 64-bit int, got {self.seed!r}")
         choices = tuple((float(size), float(prob)) for size, prob in self.model_size_choices_b)

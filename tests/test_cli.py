@@ -431,3 +431,43 @@ def test_config_that_is_not_utf8_exits_2(tmp_path, capsys) -> None:
         "in position 37: invalid continuation byte\n"
     )
     assert not (tmp_path / "out.json").exists()
+
+
+def test_schedule_csv_through_a_symlink_writes_its_target(tmp_path, resident_config, pct_trace) -> None:
+    (tmp_path / "real").mkdir()
+    target = tmp_path / "real" / "target.csv"
+    target.write_text("previous output\n", encoding="utf-8")
+    link = tmp_path / "link.csv"
+    link.symlink_to(target)
+    direct = tmp_path / "direct.csv"
+    args = ["schedule", "--workload", pct_trace, "--config", resident_config, "--algorithm", "max-util"]
+    args += ["--format", "csv"]
+    assert main([*args, "--out", str(link)]) == 0
+    assert main([*args, "--out", str(direct)]) == 0
+    assert link.is_symlink()
+    assert target.read_bytes() == direct.read_bytes()
+
+
+@pytest.mark.parametrize(
+    "document, extra, field",
+    [
+        ({"cluster": [{"count": 100_001}]}, [], "cluster[0].count"),
+        ({"cluster": [{"count": 60_000}, {"count": 40_001}]}, [], "cluster[1].count"),
+        ({}, ["--count", "1000001"], "request_count"),
+    ],
+    ids=["one-group", "two-groups", "gen-count"],
+)
+def test_gen_refuses_sizes_over_the_documented_bounds(tmp_path, capsys, document, extra, field) -> None:
+    # Refused before anything is allocated, so no memory limit is needed.
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(document), encoding="utf-8")
+    out = tmp_path / "t.jsonl"
+    assert main(["gen", "--config", str(config), *extra, "--out", str(out)]) == 2
+    assert field in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_gen_accepts_sizes_at_the_documented_bounds(tmp_path) -> None:
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"cluster": [{"count": 60_000}, {"count": 40_000}]}), encoding="utf-8")
+    assert main(["gen", "--config", str(config), "--count", "2", "--out", str(tmp_path / "t.jsonl")]) == 0

@@ -227,3 +227,23 @@ def test_path_sink_memory_stays_below_half_the_document(tmp_path) -> None:
         tracemalloc.stop()
     size = path.stat().st_size
     assert peak < size / 2, (peak, size)
+
+
+@pytest.mark.parametrize("dangling", [False, True])
+def test_symlinked_output_writes_its_target(tmp_path, dangling) -> None:
+    # The temporary file goes beside the link's target and replaces the
+    # target; the link stays a link. A dangling link creates its target,
+    # as open() would.
+    outcome, report = _power_outcome()
+    real = tmp_path / "real"
+    real.mkdir()
+    target = real / "target.json"
+    if not dangling:
+        target.write_bytes(b"previous output\n")
+    link = tmp_path / "link.json"
+    link.symlink_to(target)
+    write_outcome_document("power", outcome, report, str(link))
+    assert link.is_symlink() and os.readlink(link) == str(target)
+    assert target.read_text(encoding="utf-8") == _expected("power", outcome, report)
+    assert sorted(os.listdir(tmp_path)) == ["link.json", "real"]
+    assert os.listdir(real) == ["target.json"]

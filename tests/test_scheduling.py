@@ -672,3 +672,81 @@ def test_sort_once_first_fit_tests_each_node_about_once(monkeypatch, scheduler, 
     assert len(outcome.allocation) == m and not outcome.created_node_ids
     assert all(node_id.startswith("o") for node_id in outcome.allocation.values())
     assert _CountedCapacity.divisions <= n + 4 * m * math.ceil(math.log2(n))
+
+
+_SHARED_SEQUENCE_OPS = st.lists(
+    st.one_of(
+        st.tuples(st.just("add"), st.sampled_from(["a", "b", "auto-1", "auto-2", "auto-3", "auto-5", "auto-8"])),
+        st.tuples(st.just("remove"), st.integers(0, 20)),
+        st.tuples(
+            st.just("schedule"),
+            st.sampled_from([schedule_max_util, schedule_load_balance, schedule_power_efficient]),
+            st.lists(st.sampled_from([30.0, 60.0, 90.0]), min_size=1, max_size=4),
+            st.booleans(),
+        ),
+    ),
+    max_size=30,
+)
+
+
+@settings(max_examples=200, deadline=None)
+@example([("add", "auto-1"), ("schedule", schedule_max_util, [60.0, 60.0, 60.0], False), ("remove", 1)])
+@given(_SHARED_SEQUENCE_OPS)
+def test_created_ids_skip_the_live_ids_of_a_state_sharing_one_sequence(ops) -> None:
+    # Outside add_node and remove calls interleave with scheduler calls that
+    # share one sequence. A created id is never held by the cluster when it
+    # is created, never issued twice, and always the next auto-k up.
+    state = ClusterState([node("n1")])
+    seq = NodeIdSequence(state.ids)
+    created = []
+    for step, op in enumerate(ops):
+        kind = op[0]
+        if kind == "add" and op[1] not in state.index:
+            state.add_node(op[1], template())
+        elif kind == "remove" and len(state):
+            state.remove(state.ids[op[1] % len(state)])
+        elif kind == "schedule":
+            _, schedule, demands, resort = op
+            live = set(state.ids)
+            queue = [request(f"r{step}-{k}", c, c / 2, c / 4) for k, c in enumerate(demands)]
+            config = _config(autoscale=True, resort_after_each_allocation=resort)
+            outcome = schedule(queue, state, config, id_sequence=seq)
+            assert not live & set(outcome.created_node_ids)
+            created.extend(outcome.created_node_ids)
+    assert len(set(created)) == len(created)
+    assert all(node_id.startswith("auto-") for node_id in created)
+    numbers = [int(node_id[len("auto-"):]) for node_id in created]
+    assert numbers == sorted(numbers)
+
+
+@settings(max_examples=100, deadline=None)
+@example([0.5, 0.75], set(), [60.0, 30.0], True, True)
+@given(
+    st.lists(st.sampled_from([0.0, 0.1, 0.25, 0.5, 0.75]), max_size=6),
+    st.sets(st.sampled_from(["id", "descending", "ascending"])),
+    st.lists(st.sampled_from([10.0, 30.0, 60.0, 80.0]), min_size=2, max_size=5),
+    st.booleans(),
+    st.booleans(),
+)
+def test_sort_once_call_of_several_requests_leaves_the_state_orders(
+    initial_util, built, demands, descending, autoscale
+) -> None:
+    # A sort-once first-fit call of several requests scans an order of its
+    # own: the state keeps the orders it had, as the same lists, each still
+    # equal to a fresh sort.
+    nodes = [node(_NODE_IDS[k], template(), (u, u, u)) for k, u in enumerate(initial_util)]
+    state = ClusterState(nodes)
+    for name in built:
+        if name == "id":
+            state.id_order()
+        else:
+            state.util_order(name == "descending")
+    orders = dict(state.by_util)
+    schedule = schedule_max_util if descending else schedule_load_balance
+    queue = [request(f"q{k}", c, c, c) for k, c in enumerate(demands)]
+    schedule(queue, state, _config(autoscale=autoscale))
+
+    assert state.by_util.keys() == orders.keys()
+    for direction, order in orders.items():
+        assert state.by_util[direction] is order
+    _assert_orders_sorted(state)
