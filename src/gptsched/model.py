@@ -15,14 +15,18 @@ check, which coerces the value or words the refusal. The schedulers and
 the timeline mutate one scheduling.ClusterState in place;
 ``allocate_to_node`` and ``release_from_node`` return new Node values and
 serve the public API and the naive reference the tests compare against.
+The types built per request (these three, DecisionRecord, AllocationOutcome
+and SimEvent) are slotted. ``trusted(cls)`` builds one without its checks,
+only where the values are known to pass them; each call site says why.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from enum import Enum
-from typing import Dict, FrozenSet, Iterable, Mapping, Optional, Tuple
+from functools import lru_cache
+from typing import Any, Callable, Dict, FrozenSet, Iterable, Mapping, Optional, Tuple
 
 # Absolute slack used by every feasibility comparison in the package.
 TOLERANCE = 1e-9
@@ -66,6 +70,25 @@ def _require_non_negative(name: str, value: float) -> float:
     return value
 
 
+@lru_cache(maxsize=None)
+def trusted(cls: type) -> Callable[..., Any]:
+    """A positional constructor of the slotted dataclass cls that sets each slot directly, skipping
+    __init__ and __post_init__ (generated as dataclasses generates __init__), for checked values."""
+
+    names = [field.name for field in fields(cls)]
+    env = {"_new": object.__new__, "_cls": cls, **{f"_set_{n}": cls.__dict__[n].__set__ for n in names}}
+    sets = "".join(f"\n  _set_{n}(self, {n})" for n in names)
+    namespace: Dict[str, Any] = {}
+    exec(f"def create({', '.join(env)}):\n def make({', '.join(names)}):\n  self = _new(_cls){sets}\n"
+         "  return self\n return make", {}, namespace)
+    return namespace["create"](**env)
+
+
+def plain_amounts(a: object, b: object, c: object) -> bool:
+    # Amounts that ResourceVector and UtilizationVector keep as given.
+    return type(a) is type(b) is type(c) is float and 0.0 <= a < _INF and 0.0 <= b < _INF and 0.0 <= c < _INF
+
+
 class TaskKind(str, Enum):
     """Coarse category of an inference request."""
 
@@ -76,7 +99,7 @@ class TaskKind(str, Enum):
     OTHER = "other"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ResourceVector:
     """Absolute amounts along the three resource axes.
 
@@ -89,8 +112,7 @@ class ResourceVector:
     storage_gib: float
 
     def __post_init__(self) -> None:
-        c, m, s = self.compute, self.memory_gib, self.storage_gib
-        if type(c) is type(m) is type(s) is float and 0.0 <= c < _INF and 0.0 <= m < _INF and 0.0 <= s < _INF:
+        if plain_amounts(self.compute, self.memory_gib, self.storage_gib):
             return
         object.__setattr__(self, "compute", _require_non_negative("compute", self.compute))
         object.__setattr__(self, "memory_gib", _require_non_negative("memory_gib", self.memory_gib))
@@ -100,7 +122,7 @@ class ResourceVector:
         return (self.compute, self.memory_gib, self.storage_gib)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class UtilizationVector:
     """Fractions of a node's capacity along the three resource axes.
 
@@ -114,8 +136,7 @@ class UtilizationVector:
     storage: float = 0.0
 
     def __post_init__(self) -> None:
-        c, m, s = self.compute, self.memory, self.storage
-        if type(c) is type(m) is type(s) is float and 0.0 <= c < _INF and 0.0 <= m < _INF and 0.0 <= s < _INF:
+        if plain_amounts(self.compute, self.memory, self.storage):
             return
         object.__setattr__(self, "compute", _require_non_negative("compute", self.compute))
         object.__setattr__(self, "memory", _require_non_negative("memory", self.memory))
@@ -179,7 +200,20 @@ class Node:
         return not self.allocated
 
 
-@dataclass(frozen=True)
+def plain_request_values(kind: Any, params: Any, prompt: Any, output: Any, arrival: Any, duration: Any,
+                         deadline: Any) -> bool:
+    """Whether GptRequest keeps these values (all but id) as given."""
+
+    return (
+        type(kind) is TaskKind and type(params) is float and 0.0 <= params < _INF
+        and type(prompt) is int and prompt >= 0 and type(output) is int and output >= 0
+        and (arrival is None or type(arrival) is float and 0.0 <= arrival < _INF)
+        and (duration is None or type(duration) is float and 0.0 < duration < _INF)
+        and (deadline is None or type(deadline) is float and 0.0 < deadline < _INF)
+    )
+
+
+@dataclass(frozen=True, slots=True)
 class GptRequest:
     """One GPT inference request.
 
@@ -201,16 +235,8 @@ class GptRequest:
     def __post_init__(self) -> None:
         if not self.id:
             raise ValidationError("request id must be a non-empty string")
-        params, arrival, duration, deadline = self.model_params_b, self.arrival_s, self.duration_s, self.deadline_s
-        if (
-            type(self.task_kind) is TaskKind
-            and type(params) is float and 0.0 <= params < _INF
-            and type(self.prompt_tokens) is int and self.prompt_tokens >= 0
-            and type(self.output_tokens) is int and self.output_tokens >= 0
-            and (arrival is None or type(arrival) is float and 0.0 <= arrival < _INF)
-            and (duration is None or type(duration) is float and 0.0 < duration < _INF)
-            and (deadline is None or type(deadline) is float and 0.0 < deadline < _INF)
-        ):
+        if plain_request_values(self.task_kind, self.model_params_b, self.prompt_tokens, self.output_tokens,
+                                self.arrival_s, self.duration_s, self.deadline_s):
             return
         if not isinstance(self.task_kind, TaskKind):
             raise ValidationError(f"task_kind must be a TaskKind, got {self.task_kind!r}")

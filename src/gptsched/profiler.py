@@ -18,7 +18,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .model import GptRequest, GptSchedError, ResourceVector, ValidationError
+from .model import GptRequest, GptSchedError, ResourceVector, ValidationError, plain_amounts, trusted
 
 
 class UnprofilableRequestError(GptSchedError):
@@ -47,6 +47,7 @@ class ProfilerCoefficients:
 
 
 DEFAULT_COEFFICIENTS = ProfilerCoefficients()
+_new_vector = trusted(ResourceVector)
 
 
 def estimate_demand(
@@ -73,4 +74,6 @@ def estimate_demand(
         + coeffs.kv_mem_gib_per_ktoken_per_b * params * total_tokens / 1000.0
     )
     storage = coeffs.storage_gib_per_b * params
+    if plain_amounts(compute, memory, storage):  # else an overflow, which the check refuses
+        return _new_vector(compute, memory, storage)
     return ResourceVector(compute=compute, memory_gib=memory, storage_gib=storage)

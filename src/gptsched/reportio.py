@@ -229,7 +229,7 @@ def _write(chunks: Iterable[Union[bytes, memoryview]], sink: TextStream) -> None
                 except FileExistsError:
                     pass
         try:
-            with open(sink_fd if temp else sink, "wb") as stream:
+            with open(sink_fd if temp else sink, "wb", buffering=1 << 16) as stream:  # few large writes
                 stream.writelines(chunks)
             if temp:
                 os.replace(temp, sink)
@@ -346,6 +346,9 @@ def _outcome_chunks(
     # Text gathers in pending up to a scanned view, which is yielded as a
     # slice of the encoded bytes of its base list.
     escapes: Dict[str, str] = {}
+    # Power estimates repeat few watt values: each is formatted once (a NaN
+    # never matches a key, so format_float still refuses every one).
+    watts: Dict[float, str] = {}
 
     def text(value: object) -> str:
         if type(value) is str:
@@ -394,7 +397,8 @@ def _outcome_chunks(
             text(record.created_node), text(record.reason),
         )
         if record.power_estimates:
-            pairs = [f"{text(node_id)},{format_float(watts)}" for node_id, watts in record.power_estimates]
+            pairs = [f"{text(node_id)},{watts.get(w) or watts.setdefault(w, format_float(w))}"
+                     for node_id, w in record.power_estimates]
             pending += ',"power_estimates":[[%s]]' % "],[".join(pairs)
         pending += "}"
         if len(pending) >= _WRITE_SLICE:

@@ -78,6 +78,7 @@ from .model import (
     Threshold,
     UtilizationVector,
     ValidationError,
+    trusted,
     validate_unique_ids,
 )
 from .power import DEFAULT_POWER_POLICY, PowerMode, PowerPolicy
@@ -147,7 +148,7 @@ class ScanPrefix(Sequence[str]):
         return f"ScanPrefix({tuple(self)!r})"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class DecisionRecord:
     """Why one request landed where it did.
 
@@ -169,7 +170,7 @@ class DecisionRecord:
     power_estimates: Tuple[Tuple[str, float], ...] = ()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class AllocationOutcome:
     """Result of one scheduling run, derived from its trace by from_trace.
 
@@ -199,7 +200,12 @@ class AllocationOutcome:
                 allocation[record.request_id] = node_id
                 if record.created_node:
                     created.append(node_id)
-        return cls(allocation, tuple(unallocated), tuple(created), tuple(trace))
+        return _new_outcome(allocation, tuple(unallocated), tuple(created), tuple(trace))
+
+
+# Neither record type has checks, so trusted skips only their __init__.
+_new_record, _new_outcome = trusted(DecisionRecord), trusted(AllocationOutcome)
+_new_pct = trusted(UtilizationVector)
 
 
 class NodeIdSequence:
@@ -383,9 +389,9 @@ class ClusterState(Sequence[Node]):
     def allocate(self, i: int, request_id: str, demand: ResourceVector) -> UtilizationVector:
         """Place a demand on node i; returns it as percentages of the node."""
 
-        pct = UtilizationVector(
-            demand.compute / self.cc[i], demand.memory_gib / self.cm[i], demand.storage_gib / self.cs[i]
-        )
+        # Built unchecked: the schedulers place only a demand that a scan's exact
+        # test or the autoscale check admitted, so each quotient is in [0, limit].
+        pct = _new_pct(demand.compute / self.cc[i], demand.memory_gib / self.cm[i], demand.storage_gib / self.cs[i])
         old_uc = self.uc[i]
         self.uc[i] = old_uc + pct.compute
         self.um[i] += pct.memory
@@ -469,18 +475,14 @@ class _HeadroomTree:
         self.size = 1
         self._build()
 
-    def _axes(self) -> Tuple[Tuple[List[float], List[float]], ...]:
-        state = self.state
-        return ((state.uc, state.cc), (state.um, state.cm), (state.us, state.cs))
-
     def _build(self) -> None:
         while self.size < len(self.order):
             self.size *= 2
         margin, size = self.margin, self.size
         index = list(map(_entry_index, self.order))
         pad = [-math.inf] * (size - len(index))
-        levels = []
-        for util, cap in self._axes():
+        levels, state = [], self.state
+        for util, cap in ((state.uc, state.cc), (state.um, state.cm), (state.us, state.cs)):
             tree = [-math.inf] * size + [(margin - util[i]) * cap[i] for i in index] + pad
             half = size // 2
             while half:
@@ -498,17 +500,20 @@ class _HeadroomTree:
             self.size *= 2
             self._build()
             return
-        i, k = self.order[pos][2], self.size + pos
-        for tree, (util, cap) in zip((self.hc, self.hm, self.hs), self._axes()):
-            tree[k] = (self.margin - util[i]) * cap[i]
-            j = k
-            while j > 1:
-                j >>= 1
-                left, right = tree[2 * j], tree[2 * j + 1]
-                top = left if left > right else right
-                if tree[j] == top:
-                    break
-                tree[j] = top
+        state, margin, hc, hm, hs = self.state, self.margin, self.hc, self.hm, self.hs
+        i, j = self.order[pos][2], self.size + pos
+        hc[j] = (margin - state.uc[i]) * state.cc[i]
+        hm[j] = (margin - state.um[i]) * state.cm[i]
+        hs[j] = (margin - state.us[i]) * state.cs[i]
+        while j > 1:  # one climb for all three axes, up to the first level none changes
+            j >>= 1
+            left, right = 2 * j, 2 * j + 1
+            c = hc[left] if hc[left] > hc[right] else hc[right]
+            m = hm[left] if hm[left] > hm[right] else hm[right]
+            s = hs[left] if hs[left] > hs[right] else hs[right]
+            if hc[j] == c and hm[j] == m and hs[j] == s:
+                break
+            hc[j], hm[j], hs[j] = c, m, s
 
     def candidates(self, dc: float, dm: float, ds: float) -> Iterator[Tuple[int, int]]:
         """(position, node index) of every leaf with headroom for the
@@ -699,11 +704,11 @@ def _schedule(
                 fresh = True
         if chosen < 0:
             reason = REASON_NO_FEASIBLE_NODE if template is None else REASON_INFEASIBLE_ON_ANY_NODE
-            trace.append(DecisionRecord(request.id, demand, scanned, None, None, False, reason))
+            trace.append(_new_record(request.id, demand, scanned, None, None, False, reason, ()))
             continue
         pct = state.allocate(chosen, request.id, demand)
         node_id = state.ids[chosen]
-        trace.append(DecisionRecord(request.id, demand, scanned, node_id, pct, fresh, None, estimates))
+        trace.append(_new_record(request.id, demand, scanned, node_id, pct, fresh, None, estimates))
 
     if state is not nodes:
         nodes[:] = state

@@ -34,7 +34,7 @@ from enum import Enum
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from .metrics import Report, build_report
-from .model import ConfigError, GptRequest, Node, ValidationError, validate_unique_ids
+from .model import ConfigError, GptRequest, Node, ValidationError, trusted, validate_unique_ids
 from .model import release_from_node  # noqa: F401  re-exported; the timeline uses ClusterState
 from .power import node_power, total_power  # noqa: F401  re-exported, likewise
 from .profiler import DEFAULT_COEFFICIENTS, ProfilerCoefficients
@@ -71,7 +71,7 @@ _DEPARTURE, _ARRIVAL, _SNAPSHOT, _SCALE_CHECK = range(4)
 MAX_SNAPSHOT_POINTS = 100_000
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SimEvent:
     """One processed timeline event."""
 
@@ -79,6 +79,9 @@ class SimEvent:
     kind: EventKind
     request_id: Optional[str] = None
     node_id: Optional[str] = None
+
+
+_new_event = trusted(SimEvent)  # SimEvent has no checks to skip, only __init__
 
 
 @dataclass(frozen=True)
@@ -254,7 +257,7 @@ class _Timeline:
             self.live[request_id] = record
             self.empty_since.pop(node_id, None)
             heapq.heappush(self.heap, (time_s + request.duration_s, _DEPARTURE, request_id, 0.0))
-        return SimEvent(time_s, EventKind.ARRIVAL, request_id)
+        return _new_event(time_s, EventKind.ARRIVAL, request_id, None)
 
     def _depart(self, time_s: float, request_id: str) -> SimEvent:
         record = self.live.pop(request_id)
@@ -264,7 +267,7 @@ class _Timeline:
             heapq.heappush(
                 self.heap, (time_s + self.adaptor.scale_down_grace_s, _SCALE_CHECK, node_id, time_s)
             )
-        return SimEvent(time_s, EventKind.DEPARTURE, request_id)
+        return _new_event(time_s, EventKind.DEPARTURE, request_id, None)
 
     def _scale_check_effective(self, node_id: str, armed_at: float) -> bool:
         """Whether a due scale check will actually remove its node.
@@ -285,22 +288,13 @@ class _Timeline:
         del self.empty_since[node_id]
         self.state.remove(node_id)
         logger.info("scaled down node %s at t=%.3f", node_id, time_s)
-        return SimEvent(time_s, EventKind.SCALE_CHECK, node_id=node_id)
+        return _new_event(time_s, EventKind.SCALE_CHECK, None, node_id)
 
     def _snapshot(self, time_s: float) -> None:
         state = self.state
         for node_id, i in state.id_order():
-            self.snapshots.append(
-                SnapshotRow(
-                    time_s=time_s,
-                    node_id=node_id,
-                    compute_util=state.uc[i],
-                    memory_util=state.um[i],
-                    storage_util=state.us[i],
-                    power_w=state.power[i],
-                )
-            )
-        event = SimEvent(time_s, EventKind.SNAPSHOT)
+            self.snapshots.append(SnapshotRow(time_s, node_id, state.uc[i], state.um[i], state.us[i], state.power[i]))
+        event = _new_event(time_s, EventKind.SNAPSHOT, None, None)
         self.events.append(event)
         if self.on_event is not None:
             self.on_event(event, state)

@@ -39,6 +39,8 @@ from .model import (
     ResourceVector,
     TaskKind,
     ValidationError,
+    plain_request_values,
+    trusted,
 )
 
 MIN_TOKENS = 1
@@ -311,6 +313,7 @@ _DEMAND_KEYS = ("compute", "memory_gib", "storage_gib")
 _DEMAND = frozenset(_DEMAND_KEYS)
 _DEMAND_READERS = tuple((key, read_number) for key in _DEMAND_KEYS)
 _TASK_KINDS_BY_VALUE = {kind.value: kind for kind in TaskKind}
+_new_request = trusted(GptRequest)
 _NUMBER_READERS = (
     ("model_params_b", read_number), ("arrival_s", read_number), ("duration_s", read_number),
     ("deadline_s", read_number), ("prompt_tokens", read_int), ("output_tokens", read_int),
@@ -322,6 +325,21 @@ def request_from_dict(obj: Dict[str, object], line_no: int = 0) -> GptRequest:
 
     if not isinstance(obj, dict):
         raise TraceParseError(line_no, f"record must be a JSON object, got {type(obj).__name__}")
+    # The common case in one pass: with the five required values set, the
+    # length leaves no demand, null or unknown key. Every check below would
+    # pass (read_int keeps ints up to 2**53 as given), so trusted may build it.
+    get = obj.get
+    request_id, kind_value = get("id"), get("task_kind")
+    params, prompt, output = get("model_params_b"), get("prompt_tokens"), get("output_tokens")
+    arrival, duration, deadline = get("arrival_s"), get("duration_s"), get("deadline_s")
+    kind = _TASK_KINDS_BY_VALUE.get(kind_value) if type(kind_value) is str else None
+    if (
+        type(request_id) is str and request_id and request_id.isascii()
+        and len(obj) == 5 + (arrival is not None) + (duration is not None) + (deadline is not None)
+        and plain_request_values(kind, params, prompt, output, arrival, duration, deadline)
+        and params > 0.0 and prompt <= 2**53 and output <= 2**53
+    ):
+        return _new_request(request_id, kind, params, prompt, output, None, arrival, duration, deadline)
     if not obj.keys() >= _REQUIRED:
         missing = next(key for key in _REQUIRED_KEYS if key not in obj)
         raise TraceParseError(line_no, f"missing required field {missing!r}")
@@ -335,13 +353,10 @@ def request_from_dict(obj: Dict[str, object], line_no: int = 0) -> GptRequest:
         request_id.encode()
     except UnicodeEncodeError:
         raise TraceParseError(line_no, f"field 'id' must be encodable as UTF-8, got {request_id!r}") from None
-    kind_value = obj["task_kind"]
-    kind = _TASK_KINDS_BY_VALUE.get(kind_value) if type(kind_value) is str else None
-    if kind is None:
-        try:
-            kind = TaskKind(kind_value)
-        except ValueError:
-            raise TraceParseError(line_no, f"unknown task_kind {kind_value!r}") from None
+    try:
+        kind = TaskKind(obj["task_kind"])
+    except ValueError:
+        raise TraceParseError(line_no, f"unknown task_kind {obj['task_kind']!r}") from None
 
     demand: Optional[ResourceVector] = None
     if "demand" in obj:

@@ -30,7 +30,8 @@ ref_resource_vector, ref_utilization_vector and ref_request_fields apply
 the value rules of ResourceVector, UtilizationVector and GptRequest with a
 full check of every field, and ref_read_number and ref_read_int those of
 the trace parser's number readers; each returns the values the type or
-reader keeps, or raises what it raises.
+reader keeps, or raises what it raises. ref_trace_record composes them
+into the trace parser's rules for a record without a demand.
 """
 
 from __future__ import annotations
@@ -47,6 +48,7 @@ from gptsched.profiler import ProfilerCoefficients, estimate_demand
 from gptsched.reportio import format_float
 from gptsched.scheduling import ALGORITHMS, AllocationOutcome, NodeIdSequence, SchedulerConfig
 from gptsched.simulator import AdaptorPolicy, EventKind, SimEvent, SnapshotRow
+from gptsched.workload import TraceParseError
 
 EPS = 1e-9
 
@@ -571,3 +573,55 @@ def ref_read_int(value: object) -> int:
         raise ValidationError(f"must be an integer, got {value!r}")
     ref_read_number(value)
     return value
+
+
+_REF_TRACE_KEYS = ("id", "task_kind", "model_params_b", "prompt_tokens", "output_tokens")
+_REF_TRACE_NUMBERS = (
+    ("model_params_b", ref_read_number), ("arrival_s", ref_read_number), ("duration_s", ref_read_number),
+    ("deadline_s", ref_read_number), ("prompt_tokens", ref_read_int), ("output_tokens", ref_read_int),
+)
+
+
+def ref_trace_record(obj: object, line_no: int) -> dict:
+    """request_from_dict for a record without demand, spelled out: every
+    key, the id, the task kind and each number checked in turn, then the
+    fields ref_request_fields keeps, with id and task_kind."""
+
+    if not isinstance(obj, dict):
+        raise TraceParseError(line_no, f"record must be a JSON object, got {type(obj).__name__}")
+    for key in _REF_TRACE_KEYS:
+        if key not in obj:
+            raise TraceParseError(line_no, f"missing required field {key!r}")
+    unknown = sorted(set(obj) - set(_REF_TRACE_KEYS) - {"demand", "arrival_s", "duration_s", "deadline_s"})
+    if unknown:
+        raise TraceParseError(line_no, f"unknown fields {unknown}")
+    if "demand" in obj:
+        raise NotImplementedError("records with a demand are outside this reference")
+    request_id = obj["id"]
+    if not isinstance(request_id, str) or not request_id:
+        raise TraceParseError(line_no, f"field 'id' must be a non-empty string, got {request_id!r}")
+    try:
+        request_id.encode("utf-8")
+    except UnicodeEncodeError:
+        raise TraceParseError(line_no, f"field 'id' must be encodable as UTF-8, got {request_id!r}") from None
+    try:
+        kind = TaskKind(obj["task_kind"])
+    except (ValueError, TypeError):
+        raise TraceParseError(line_no, f"unknown task_kind {obj['task_kind']!r}") from None
+    numbers: Dict[str, object] = {"arrival_s": None, "duration_s": None, "deadline_s": None}
+    for key, read in _REF_TRACE_NUMBERS:
+        if key in obj:
+            try:
+                numbers[key] = read(obj[key])
+            except ValidationError as exc:
+                raise TraceParseError(line_no, f"field {key!r} {exc}") from None
+    if numbers["model_params_b"] <= 0.0:
+        raise TraceParseError(line_no, "request without explicit demand must have model_params_b > 0")
+    try:
+        fields = ref_request_fields(
+            request_id, kind, numbers["model_params_b"], numbers["prompt_tokens"], numbers["output_tokens"],
+            numbers["arrival_s"], numbers["duration_s"], numbers["deadline_s"],
+        )
+    except ValidationError as exc:
+        raise TraceParseError(line_no, str(exc)) from None
+    return {"id": request_id, "task_kind": kind, **fields}

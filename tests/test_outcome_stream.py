@@ -9,6 +9,7 @@ through a temporary sibling that replaces the path only on success.
 from __future__ import annotations
 
 import errno
+import json
 import io
 import os
 import re
@@ -247,3 +248,24 @@ def test_symlinked_output_writes_its_target(tmp_path, dangling) -> None:
     assert target.read_text(encoding="utf-8") == _expected("power", outcome, report)
     assert sorted(os.listdir(tmp_path)) == ["link.json", "real"]
     assert os.listdir(real) == ["target.json"]
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    algorithm=st.sampled_from(sorted(ALGORITHMS)),
+    node_specs=st.lists(st.tuples(_ids, _utils), max_size=6, unique_by=lambda spec: spec[0]),
+    request_specs=st.lists(st.tuples(_ids, _demands), max_size=14, unique_by=lambda spec: spec[0]),
+    autoscale=st.booleans(),
+    resort=st.booleans(),
+)
+def test_outcome_document_round_trips_and_is_deterministic(
+    algorithm, node_specs, request_specs, autoscale, resort
+) -> None:
+    # Small random workloads with rejections and created nodes: parsing the
+    # document and writing the tree again gives the same text, and
+    # scheduling the same inputs again writes the same bytes.
+    first = _written(algorithm, *_run(algorithm, node_specs, request_specs, autoscale=autoscale, resort=resort))
+    again = _written(algorithm, *_run(algorithm, node_specs, request_specs, autoscale=autoscale, resort=resort))
+    text = first[0]
+    assert canonical_json(json.loads(text)) + "\n" == text
+    assert again == first

@@ -28,6 +28,7 @@ from gptsched import (
     schedule_power_efficient,
     utilization_stddev,
 )
+from gptsched import scheduling
 from gptsched.model import TOLERANCE
 from gptsched.scheduling import REASON_INFEASIBLE_ON_ANY_NODE, REASON_NO_FEASIBLE_NODE, ClusterState, ScanPrefix
 
@@ -750,3 +751,47 @@ def test_sort_once_call_of_several_requests_leaves_the_state_orders(
     for direction, order in orders.items():
         assert state.by_util[direction] is order
     _assert_orders_sorted(state)
+
+
+class _CheckedTree(scheduling._HeadroomTree):
+    """A headroom tree that, whenever a pick asks it for candidates, checks
+    its three arrays against a fresh _build over the same order."""
+
+    checks = 0
+
+    def candidates(self, dc: float, dm: float, ds: float):
+        fresh = object.__new__(scheduling._HeadroomTree)
+        fresh.state, fresh.order, fresh.margin, fresh.size = self.state, self.order, self.margin, 1
+        fresh._build()
+        assert (self.size, self.hc, self.hm, self.hs) == (fresh.size, fresh.hc, fresh.hm, fresh.hs)
+        _CheckedTree.checks += 1
+        return super().candidates(dc, dm, ds)
+
+
+# Demands on each axis of a capacity-100 node at threshold 0.8: ties, exact
+# fits of the limit alone and in pairs, and a few ulps either side.
+_TREE_DEMANDS = (0.0, 10.0, 20.0, 40.0, 40.0, 80.0, math.nextafter(80.0, 0.0), math.nextafter(80.0, 100.0),
+                 math.nextafter(40.0, 100.0), 79.99999999, 80.0000001, 150.0)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.lists(st.sampled_from([0.0, 0.1, 0.4, 0.5, 0.75, 0.8]), max_size=8),
+    st.lists(
+        st.tuples(st.booleans(), st.lists(st.tuples(*[st.sampled_from(_TREE_DEMANDS)] * 3), min_size=3, max_size=30)),
+        min_size=1,
+        max_size=4,
+    ),
+)
+def test_headroom_tree_refresh_matches_a_fresh_build(initial_util, calls) -> None:
+    # Sort-once max-util and load-balance calls with autoscale on, one after
+    # another on one state: after every refresh the tree equals a rebuild.
+    state = ClusterState([node(f"n{k}", template(), (u, u * 0.5, u)) for k, u in enumerate(initial_util)])
+    checks = _CheckedTree.checks
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(scheduling, "_HeadroomTree", _CheckedTree)
+        for step, (descending, demands) in enumerate(calls):
+            schedule = schedule_max_util if descending else schedule_load_balance
+            queue = [request(f"q{step}-{k}", *demand) for k, demand in enumerate(demands)]
+            schedule(queue, state, _config(autoscale=True))
+    assert _CheckedTree.checks - checks >= sum(len(demands) - 1 for _, demands in calls)
