@@ -98,12 +98,11 @@ def build_parser() -> argparse.ArgumentParser:
 def _load_config(args: argparse.Namespace) -> ExperimentConfig:
     config = load_cluster_config(args.config) if args.config else default_config()
     scheduler = config.scheduler
-    if getattr(args, "threshold", None) is not None:
+    if args.threshold is not None:
         scheduler = replace(scheduler, threshold=Threshold(args.threshold))
-    autoscale = getattr(args, "autoscale", None)
-    if autoscale == "off":
+    if args.autoscale == "off":
         scheduler = replace(scheduler, autoscale_template=None)
-    elif autoscale == "on" and scheduler.autoscale_template is None:
+    elif args.autoscale == "on" and scheduler.autoscale_template is None:
         scheduler = replace(scheduler, autoscale_template=config.initial_nodes[0].template)
     if scheduler is not config.scheduler:
         config = replace(config, scheduler=scheduler)
@@ -191,10 +190,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.handler(args)
-    except GptSchedError as exc:
-        print(f"gptsched: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (GptSchedError, OSError) as exc:
         print(f"gptsched: {exc}", file=sys.stderr)
         return 2
 

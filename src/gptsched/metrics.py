@@ -112,16 +112,14 @@ def build_report(
             raise IntegrityError(f"allocation targets not in cluster: {sorted(missing)}")
 
     if nodes:
-        mean = mean_compute_utilization(nodes)
         stddev = utilization_stddev(nodes)
         per_resource = per_resource_mean_utilization(nodes)
     else:
-        mean = 0.0
         stddev = 0.0
         per_resource = UtilizationVector(0.0, 0.0, 0.0)
 
     return Report(
-        mean_compute_utilization=mean,
+        mean_compute_utilization=per_resource.compute,
         utilization_stddev=stddev,
         total_power_w=total_power(nodes, policy),
         node_count=len(nodes),

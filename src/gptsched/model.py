@@ -7,17 +7,17 @@ Requests describe an inference task either by an explicit resource demand
 or by model/token attributes that a profiler can turn into one.
 
 All value types are frozen dataclasses so they can be compared, hashed
-where needed, and shared safely. ResourceVector, UtilizationVector and
-GptRequest accept the common case, where every number is already an
-exact float (an exact int for token counts) in range, with one type test
-and one chained comparison per field; anything else takes the full
-check, which coerces the value or words the refusal. The schedulers and
-the timeline mutate one scheduling.ClusterState in place;
-``allocate_to_node`` and ``release_from_node`` return new Node values and
-serve the public API and the naive reference the tests compare against.
-The types built per request (these three, DecisionRecord, AllocationOutcome
-and SimEvent) are slotted. ``trusted(cls)`` builds one without its checks,
-only where the values are known to pass them; each call site says why.
+where needed, and shared safely. Each checks its values when built,
+coercing a value or wording the refusal; GptRequest first tries the
+common case (every number already an exact float, or an exact int for
+token counts, in range: one type test and one chained comparison per
+field). The schedulers and the timeline mutate one scheduling.ClusterState
+in place; ``allocate_to_node`` and ``release_from_node`` return new Node
+values and serve the public API and the naive reference the tests compare
+against. The types built per request (the two vectors, GptRequest,
+DecisionRecord, AllocationOutcome and SimEvent) are slotted.
+``trusted(cls)`` builds one without its checks, only where the values are
+known to pass them; each call site says why.
 """
 
 from __future__ import annotations
@@ -112,8 +112,6 @@ class ResourceVector:
     storage_gib: float
 
     def __post_init__(self) -> None:
-        if plain_amounts(self.compute, self.memory_gib, self.storage_gib):
-            return
         object.__setattr__(self, "compute", _require_non_negative("compute", self.compute))
         object.__setattr__(self, "memory_gib", _require_non_negative("memory_gib", self.memory_gib))
         object.__setattr__(self, "storage_gib", _require_non_negative("storage_gib", self.storage_gib))
@@ -136,8 +134,6 @@ class UtilizationVector:
     storage: float = 0.0
 
     def __post_init__(self) -> None:
-        if plain_amounts(self.compute, self.memory, self.storage):
-            return
         object.__setattr__(self, "compute", _require_non_negative("compute", self.compute))
         object.__setattr__(self, "memory", _require_non_negative("memory", self.memory))
         object.__setattr__(self, "storage", _require_non_negative("storage", self.storage))

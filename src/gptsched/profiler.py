@@ -16,7 +16,7 @@ model with 1000 total tokens cost 14 compute units, 14.14 GiB of memory and
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 from .model import GptRequest, GptSchedError, ResourceVector, ValidationError, plain_amounts, trusted
 
@@ -35,15 +35,10 @@ class ProfilerCoefficients:
     storage_gib_per_b: float = 2.0
 
     def __post_init__(self) -> None:
-        for name in (
-            "flops_per_param_token",
-            "weight_mem_gib_per_b",
-            "kv_mem_gib_per_ktoken_per_b",
-            "storage_gib_per_b",
-        ):
-            value = getattr(self, name)
+        for field in fields(self):
+            value = getattr(self, field.name)
             if not math.isfinite(value) or value < 0.0:
-                raise ValidationError(f"{name} must be finite and >= 0, got {value!r}")
+                raise ValidationError(f"{field.name} must be finite and >= 0, got {value!r}")
 
 
 DEFAULT_COEFFICIENTS = ProfilerCoefficients()

@@ -11,11 +11,16 @@ distinct string escaped once per document: the id list a scan shares
 between its decisions (ScanPrefix views) is encoded once, and each view is
 written as one slice of those bytes.
 
+Every table (the one-row report CSV, snapshots, comparisons) is written
+by one table writer, as CSV or as a JSON list of row objects; a CSV table
+is encoded row by row and leaves in chunks, like the outcome document.
+
 A path sink (a symbolic link's target, for a link) is written chunk by
 chunk to a temporary file beside it, which replaces it only once the
 whole document is written, so any error (ValidationError for a non-finite
 float or a string UTF-8 cannot encode) leaves an existing output
-untouched; a device or pipe path is written through. A stream sink
+untouched; a device or pipe path is written through, so it may receive
+part of a document or CSV table before such an error. A stream sink
 receives the finished text in one write.
 
 Schemas:
@@ -41,8 +46,10 @@ import csv
 import io
 import math
 import os
+from dataclasses import fields
 from itertools import accumulate, count
 from json.encoder import encode_basestring
+from operator import attrgetter
 from pathlib import Path
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple, Union
 
@@ -66,7 +73,8 @@ REPORT_CSV_COLUMNS = (
     "energy_wh",
 )
 
-SNAPSHOT_CSV_COLUMNS = ("time_s", "node_id", "compute_util", "memory_util", "storage_util", "power_w")
+SNAPSHOT_CSV_COLUMNS = tuple(field.name for field in fields(SnapshotRow))
+_snapshot_cells = attrgetter(*SNAPSHOT_CSV_COLUMNS)
 
 COMPARISON_COLUMNS = (
     "algorithm",
@@ -200,8 +208,9 @@ def outcome_to_dict(outcome: AllocationOutcome) -> Dict[str, object]:
     }
 
 
-# Text goes to the sink in slices of this many characters, so writing never
-# holds a second, encoded copy of a whole document.
+# Text goes to the sink in slices of this many characters (a CSV table in
+# pieces of about this many bytes), so writing never holds a second, encoded
+# copy of a whole document.
 _WRITE_SLICE = 1 << 20
 
 
@@ -254,30 +263,39 @@ def _cell(value: object) -> str:
     return str(value)
 
 
-def _csv_text(header: Sequence[str], rows: Sequence[Sequence[object]]) -> str:
-    buffer = io.StringIO()
-    writer = csv.writer(buffer, lineterminator="\n")
-    writer.writerow(header)
+def _csv_chunks(columns: Sequence[str], rows: Iterable[Sequence[object]]) -> Iterator[bytes]:
+    # csv.writer quotes; each line it writes is encoded into data at once, so
+    # the table is never held as text.
+    data = io.BytesIO()
+    text = io.TextIOWrapper(data, encoding="utf-8", newline="", write_through=True)
+    writerow = csv.writer(text, lineterminator="\n").writerow
+    writerow(columns)
     for row in rows:
-        writer.writerow([_cell(value) for value in row])
-    return buffer.getvalue()
+        writerow([_cell(value) for value in row])
+        if data.tell() >= _WRITE_SLICE:
+            yield data.getvalue()
+            data.seek(0)
+            data.truncate()
+    yield data.getvalue()
 
 
-def report_csv_row(report: Report) -> List[object]:
-    per = report.per_resource_mean_utilization
-    return [
-        float(report.mean_compute_utilization),
-        float(report.utilization_stddev),
-        float(report.total_power_w),
-        report.node_count,
-        report.created_node_count,
-        report.request_count,
-        report.unallocated_count,
-        float(per.memory),
-        float(per.storage),
-        report.deadline_misses,
-        float(report.energy_wh) if report.energy_wh is not None else None,
-    ]
+def _write_table(
+    columns: Sequence[str],
+    rows: Iterable[Sequence[object]],
+    fmt: str,
+    sink: TextStream,
+    key: Optional[str] = None,
+) -> None:
+    """Write rows (cells in column order) as a CSV table or as a canonical
+    JSON list of row objects, given as {key: list} when key is set."""
+
+    if fmt not in ("json", "csv"):
+        raise ValidationError(f"format must be json or csv, got {fmt!r}")
+    if fmt == "csv":
+        _write(_csv_chunks(columns, rows), sink)
+    else:
+        docs = [dict(zip(columns, row)) for row in rows]
+        _write(_utf8(canonical_json(docs if key is None else {key: docs}), "\n"), sink)
 
 
 def write_report(
@@ -295,38 +313,21 @@ def write_report(
     An empty snapshot series yields a header-only CSV.
     """
 
-    if fmt not in ("json", "csv"):
-        raise ValidationError(f"format must be json or csv, got {fmt!r}")
-    if isinstance(payload, Report):
-        if fmt == "json":
-            doc: Dict[str, object] = {}
-            if algorithm is not None:
-                doc["algorithm"] = algorithm
-            doc.update(report_to_dict(payload))
-            _write(_utf8(canonical_json(doc), "\n"), sink)
-        else:
-            header = (("algorithm",) if algorithm is not None else ()) + REPORT_CSV_COLUMNS
-            row = ([algorithm] if algorithm is not None else []) + report_csv_row(payload)
-            _write(_utf8(_csv_text(header, [row])), sink)
+    if not isinstance(payload, Report):
+        rows = map(_snapshot_cells, payload)
+        if fmt == "json":  # every value but node_id as a float
+            rows = ((float(time_s), node_id, *map(float, rest)) for time_s, node_id, *rest in rows)
+        _write_table(SNAPSHOT_CSV_COLUMNS, rows, fmt, sink)
         return
-
-    rows = list(payload)
-    if fmt == "csv":
-        table = [[r.time_s, r.node_id, r.compute_util, r.memory_util, r.storage_util, r.power_w] for r in rows]
-        _write(_utf8(_csv_text(SNAPSHOT_CSV_COLUMNS, table)), sink)
-    else:
-        docs = [
-            {
-                "time_s": float(r.time_s),
-                "node_id": r.node_id,
-                "compute_util": float(r.compute_util),
-                "memory_util": float(r.memory_util),
-                "storage_util": float(r.storage_util),
-                "power_w": float(r.power_w),
-            }
-            for r in rows
-        ]
-        _write(_utf8(canonical_json(docs), "\n"), sink)
+    doc: Dict[str, object] = {} if algorithm is None else {"algorithm": algorithm}
+    doc.update(report_to_dict(payload))
+    if fmt == "json":
+        _write(_utf8(canonical_json(doc), "\n"), sink)
+        return
+    per = doc["per_resource_mean_utilization"]
+    doc["mean_memory_utilization"], doc["mean_storage_utilization"] = per["memory"], per["storage"]
+    columns = (("algorithm",) if algorithm is not None else ()) + REPORT_CSV_COLUMNS
+    _write_table(columns, [[doc[column] for column in columns]], fmt, sink)
 
 
 def write_outcome_document(
@@ -407,28 +408,12 @@ def _outcome_chunks(
     yield f'{pending}]}},"report":{canonical_json(report_to_dict(report))}}}\n'.encode()
 
 
-def comparison_rows(named_reports: Sequence[Tuple[str, Report]]) -> List[List[object]]:
-    return [
-        [
-            name,
-            float(report.mean_compute_utilization),
-            float(report.utilization_stddev),
-            float(report.total_power_w),
-            report.node_count,
-            report.unallocated_count,
-        ]
-        for name, report in named_reports
-    ]
-
-
 def write_comparison(named_reports: Sequence[Tuple[str, Report]], fmt: str, sink: TextStream) -> None:
     """Three-row (or n-row) comparison table, CSV or canonical JSON."""
 
-    if fmt not in ("json", "csv"):
-        raise ValidationError(f"format must be json or csv, got {fmt!r}")
-    rows = comparison_rows(named_reports)
-    if fmt == "csv":
-        _write(_utf8(_csv_text(COMPARISON_COLUMNS, rows)), sink)
-    else:
-        docs = [dict(zip(COMPARISON_COLUMNS, row)) for row in rows]
-        _write(_utf8(canonical_json({"rows": docs}), "\n"), sink)
+    rows = (
+        (name, float(report.mean_compute_utilization), float(report.utilization_stddev),
+         float(report.total_power_w), report.node_count, report.unallocated_count)
+        for name, report in named_reports
+    )
+    _write_table(COMPARISON_COLUMNS, rows, fmt, sink, key="rows")

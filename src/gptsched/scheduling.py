@@ -318,7 +318,8 @@ class ClusterState(Sequence[Node]):
         return Node(
             id=self.ids[i],
             template=self.templates[i],
-            utilization=UtilizationVector(self.uc[i], self.um[i], self.us[i]),
+            # Unchecked: the arrays hold only finite, non-negative sums of checked pcts.
+            utilization=_new_pct(self.uc[i], self.um[i], self.us[i]),
             allocated=frozenset(self.alloc[i]),
         )
 

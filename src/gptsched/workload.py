@@ -269,8 +269,6 @@ def read_number(value: object) -> float:
     NaN, the infinities and integers too large for a float are refused.
     """
 
-    if type(value) is float and -math.inf < value < math.inf:
-        return value
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ValidationError(f"must be a number, got {value!r}")
     try:
@@ -285,8 +283,6 @@ def read_number(value: object) -> float:
 def read_int(value: object) -> int:
     """A JSON integer, refused as read_number refuses one too large for a float."""
 
-    if type(value) is int and -(2**53) <= value <= 2**53:  # finite as a float
-        return value
     if isinstance(value, bool) or not isinstance(value, int):
         raise ValidationError(f"must be an integer, got {value!r}")
     read_number(value)
