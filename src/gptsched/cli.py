@@ -154,9 +154,10 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     )
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
+    # The large table first: a failure there leaves an existing report as it was.
+    write_report(result.snapshots, "csv", out_dir / "snapshots.csv")
     report_path = out_dir / ("report.json" if args.format == "json" else "report.csv")
     write_report(result.report, args.format, report_path, algorithm=args.algorithm)
-    write_report(result.snapshots, "csv", out_dir / "snapshots.csv")
     logger.info(
         "simulate %s: %d snapshots, %.6f Wh, wrote %s",
         args.algorithm,

@@ -12,15 +12,15 @@ between its decisions (ScanPrefix views) is encoded once, and each view is
 written as one slice of those bytes.
 
 Every table (the one-row report CSV, snapshots, comparisons) is written
-by one table writer, as CSV or as a JSON list of row objects; a CSV table
-is encoded row by row and leaves in chunks, like the outcome document.
+by one table writer, as CSV or as a JSON list of row objects; either is
+encoded row by row and leaves in chunks, like the outcome document.
 
 A path sink (a symbolic link's target, for a link) is written chunk by
 chunk to a temporary file beside it, which replaces it only once the
 whole document is written, so any error (ValidationError for a non-finite
 float or a string UTF-8 cannot encode) leaves an existing output
 untouched; a device or pipe path is written through, so it may receive
-part of a document or CSV table before such an error. A stream sink
+part of a document or table before such an error. A stream sink
 receives the finished text in one write.
 
 Schemas:
@@ -263,19 +263,30 @@ def _cell(value: object) -> str:
     return str(value)
 
 
-def _csv_chunks(columns: Sequence[str], rows: Iterable[Sequence[object]]) -> Iterator[bytes]:
-    # csv.writer quotes; each line it writes is encoded into data at once, so
-    # the table is never held as text.
+def _table_chunks(
+    columns: Sequence[str], rows: Iterable[Sequence[object]], fmt: str, key: Optional[str]
+) -> Iterator[bytes]:
+    # Each row is encoded into data as it is written: csv.writer quotes a CSV
+    # row, a JSON row is its canonical_json object. The table is never held
+    # as text.
     data = io.BytesIO()
     text = io.TextIOWrapper(data, encoding="utf-8", newline="", write_through=True)
-    writerow = csv.writer(text, lineterminator="\n").writerow
-    writerow(columns)
-    for row in rows:
-        writerow([_cell(value) for value in row])
+    writerow = csv.writer(text, lineterminator="\n").writerow if fmt == "csv" else None
+    if writerow is not None:
+        writerow(columns)
+    else:
+        text.write("[" if key is None else "{%s:[" % encode_basestring(key))
+    for index, row in enumerate(rows):
+        if writerow is not None:
+            writerow([_cell(value) for value in row])
+        else:
+            text.write(("," if index else "") + canonical_json(dict(zip(columns, row))))
         if data.tell() >= _WRITE_SLICE:
             yield data.getvalue()
             data.seek(0)
             data.truncate()
+    if writerow is None:
+        text.write("]\n" if key is None else "]}\n")
     yield data.getvalue()
 
 
@@ -291,11 +302,7 @@ def _write_table(
 
     if fmt not in ("json", "csv"):
         raise ValidationError(f"format must be json or csv, got {fmt!r}")
-    if fmt == "csv":
-        _write(_csv_chunks(columns, rows), sink)
-    else:
-        docs = [dict(zip(columns, row)) for row in rows]
-        _write(_utf8(canonical_json(docs if key is None else {key: docs}), "\n"), sink)
+    _write(_table_chunks(columns, rows, fmt, key), sink)
 
 
 def write_report(

@@ -619,7 +619,8 @@ class _MinPowerDelta:
 
     def __init__(self, state: ClusterState, config: SchedulerConfig, picks: int) -> None:
         self.state = state
-        self.absolute = config.power_policy.mode is PowerMode.ABSOLUTE_AFTER
+        # The state's policy, which _schedule holds equal to the config's.
+        self.absolute = state.policy.mode is PowerMode.ABSOLUTE_AFTER
         self.limit = 1.0 + TOLERANCE
         self.id_order = state.id_order()
         # The scan covers every node, so the scanned ids only change when a
@@ -670,11 +671,15 @@ def _schedule(
     """The placement skeleton shared by the three schedulers.
 
     A node list is converted to a ClusterState on entry and written back
-    once at the end; a ClusterState (priced with config.power_policy) is
-    placed into directly.
+    once at the end; a ClusterState is placed into directly, and refused
+    unless it is priced with a policy equal to config.power_policy.
     """
 
     state = nodes if isinstance(nodes, ClusterState) else ClusterState(nodes, config.power_policy)
+    if state.policy is not config.power_policy and state.policy != config.power_policy:
+        raise ValidationError(
+            f"cluster state is priced with {state.policy!r}, the config with {config.power_policy!r}"
+        )
     if len(queue) > 1:  # one request has no id to repeat and no order to sort
         validate_unique_ids((r.id for r in queue), "request")
     for request in queue:

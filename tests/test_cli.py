@@ -471,3 +471,20 @@ def test_gen_accepts_sizes_at_the_documented_bounds(tmp_path) -> None:
     config = tmp_path / "config.json"
     config.write_text(json.dumps({"cluster": [{"count": 60_000}, {"count": 40_000}]}), encoding="utf-8")
     assert main(["gen", "--config", str(config), "--count", "2", "--out", str(tmp_path / "t.jsonl")]) == 0
+
+
+def test_simulate_failing_snapshots_keep_an_existing_report(tmp_path, capsys) -> None:
+    # snapshots.csv is written first: when it cannot be replaced (here it is
+    # a directory), the run exits 2 before report.json is touched.
+    trace = tmp_path / "timed.jsonl"
+    trace.write_text(TIMED_TRACE, encoding="utf-8")
+    out_dir = tmp_path / "sim"
+    (out_dir / "snapshots.csv").mkdir(parents=True)
+    (out_dir / "report.json").write_bytes(b"previous report\n")
+    code = main([
+        "simulate", "--workload", str(trace), "--algorithm", "max-util",
+        "--snapshot-interval", "30", "--out", str(out_dir),
+    ])
+    assert code == 2
+    assert "snapshots.csv" in capsys.readouterr().err
+    assert (out_dir / "report.json").read_bytes() == b"previous report\n"

@@ -795,3 +795,23 @@ def test_headroom_tree_refresh_matches_a_fresh_build(initial_util, calls) -> Non
             queue = [request(f"q{step}-{k}", *demand) for k, demand in enumerate(demands)]
             schedule(queue, state, _config(autoscale=True))
     assert _CheckedTree.checks - checks >= sum(len(demands) - 1 for _, demands in calls)
+
+
+@pytest.mark.parametrize("policy", [PowerPolicy(), PowerPolicy(mode=PowerMode.ABSOLUTE_AFTER, off_when_empty=False)])
+def test_a_cluster_state_must_share_the_config_power_policy(policy) -> None:
+    # A warm node b and an empty node a: under the default policy waking a
+    # costs its idle draw, so the power scheduler picks b.
+    def nodes():
+        return [node("a"), node("b", template(), (0.5, 0.5, 0.5))]
+
+    config = _config(power_policy=policy)
+    expected = schedule_power_efficient([request("r", 10.0)], nodes(), config).allocation["r"]
+    assert expected == ("b" if policy.off_when_empty else "a")
+    # An equal policy built separately places as the node list does.
+    state = ClusterState(nodes(), PowerPolicy(policy.mode, policy.off_when_empty))
+    assert schedule_power_efficient([request("r", 10.0)], state, config).allocation["r"] == expected
+    other = PowerPolicy(policy.mode, not policy.off_when_empty)
+    for scheduler in (schedule_power_efficient, schedule_max_util, schedule_load_balance):
+        with pytest.raises(ValidationError, match="priced with") as raised:
+            scheduler([request("q", 10.0)], ClusterState(nodes(), other), config)
+        assert repr(other) in str(raised.value) and repr(policy) in str(raised.value)

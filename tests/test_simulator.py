@@ -575,3 +575,26 @@ def test_timeline_refuses_an_oversized_snapshot_grid() -> None:
     assert len(result.snapshots) <= MAX_SNAPSHOT_POINTS
     # An empty workload has no horizon and no grid.
     assert _timeline([], [node("node-1")], interval=1e-300).snapshots == ()
+
+
+def test_on_event_sees_exactly_the_result_events_and_the_live_state() -> None:
+    workload = _generated_timed_workload(60)
+    seen, views, sizes, snapshot_rows = [], [], [], []
+
+    def on_event(event, view) -> None:
+        seen.append(event)
+        views.append(view)
+        sizes.append(len(view))
+        if event.kind is EventKind.SNAPSHOT:
+            for n in sorted(view, key=lambda n: n.id):
+                snapshot_rows.append(
+                    SnapshotRow(event.time_s, n.id, *n.utilization.as_tuple(), simulator.node_power(n))
+                )
+
+    result = _timeline(workload, [node("node-1")], autoscale=True, grace=5.0, interval=10.0, on_event=on_event)
+    assert tuple(seen) == result.events
+    assert {event.kind for event in seen} == set(EventKind)
+    # One live view, the run's cluster state, read as it stands at each call.
+    assert isinstance(views[0], scheduling.ClusterState) and all(view is views[0] for view in views)
+    assert len(set(sizes)) > 1
+    assert tuple(snapshot_rows) == result.snapshots

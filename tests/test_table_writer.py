@@ -184,3 +184,47 @@ def test_path_sink_table_memory_stays_well_below_its_size(tmp_path) -> None:
     size = path.stat().st_size
     assert path.read_bytes() == _snapshot_reference(rows).encode()
     assert peak < size / 2, (peak, size)
+
+
+def test_json_failure_in_the_last_row_leaves_an_existing_table_untouched(tmp_path) -> None:
+    rows = _large_table(100_000)
+    bad = rows[:-1] + (SnapshotRow(rows[-1].time_s, "node-x", 0.5, float("nan"), 0.5, 150.0),)
+    path = tmp_path / "snapshots.json"
+    path.write_bytes(b"previous output\n")
+    with pytest.raises(ValidationError, match="non-finite"):
+        write_report(bad, "json", path)
+    assert path.read_bytes() == b"previous output\n"
+    assert os.listdir(tmp_path) == ["snapshots.json"]
+    stream = io.StringIO()
+    with pytest.raises(ValidationError, match="non-finite"):
+        write_report(bad, "json", stream)
+    assert stream.getvalue() == ""
+
+
+def test_path_sink_json_table_memory_stays_well_below_its_size(tmp_path) -> None:
+    # A JSON table streams row by row like a CSV table, to the same bytes as
+    # one canonical_json document.
+    rows = _large_table(100_000)
+    path = tmp_path / "snapshots.json"
+    tracemalloc.start()
+    try:
+        write_report(rows, "json", path)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    size = path.stat().st_size
+    docs = [{c: getattr(row, c) for c in SNAPSHOT_CSV_COLUMNS} for row in rows]
+    assert path.read_bytes() == (reportio.canonical_json(docs) + "\n").encode()
+    assert peak < size / 2, (peak, size)
+
+
+@pytest.mark.parametrize("count", [0, 1, 3])
+@pytest.mark.parametrize("key", [None, "rows"])
+def test_json_table_matches_one_canonical_document(tmp_path, key, count) -> None:
+    columns = ("name", "value", "count")
+    rows = [("a,\"b\"\n", 1.5, 3), ("\u00e9\U0001f600", -0.0, None), ("", 5e-324, True)][:count]
+    docs = [dict(zip(columns, row)) for row in rows]
+    expected = reportio.canonical_json(docs if key is None else {key: docs}) + "\n"
+    with mock.patch.object(reportio, "_WRITE_SLICE", 7):
+        data = _written(lambda sink: reportio._write_table(columns, rows, "json", sink, key), tmp_path / "t.json")
+    assert data == expected.encode()
