@@ -95,9 +95,11 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _load_config(args: argparse.Namespace) -> ExperimentConfig:
+def _load_config(args: argparse.Namespace, *, record_scans: bool) -> ExperimentConfig:
+    # Only the schedule JSON document writes decisions' scanned ids and
+    # power estimates; a run for any other output keeps neither.
     config = load_cluster_config(args.config) if args.config else default_config()
-    scheduler = config.scheduler
+    scheduler = config.scheduler if record_scans else replace(config.scheduler, record_scans=False)
     if args.threshold is not None:
         scheduler = replace(scheduler, threshold=Threshold(args.threshold))
     if args.autoscale == "off":
@@ -126,7 +128,7 @@ def cmd_gen(args: argparse.Namespace) -> int:
 
 
 def cmd_schedule(args: argparse.Namespace) -> int:
-    config = _load_config(args)
+    config = _load_config(args, record_scans=args.format == "json")
     workload = load_trace(args.workload)
     nodes = config.fresh_nodes()
     outcome, report = run_batch(
@@ -141,7 +143,7 @@ def cmd_schedule(args: argparse.Namespace) -> int:
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
-    config = _load_config(args)
+    config = _load_config(args, record_scans=False)
     workload = load_trace(args.workload)
     result = run_timeline(
         workload,
@@ -169,7 +171,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 
 
 def cmd_compare(args: argparse.Namespace) -> int:
-    config = _load_config(args)
+    config = _load_config(args, record_scans=False)
     workload = load_trace(args.workload)
     results: List[Tuple[str, Report]] = []
     worst = 0

@@ -263,12 +263,24 @@ def _cell(value: object) -> str:
     return str(value)
 
 
+def _json_cell(value: object) -> str:
+    # canonical_json's scalar cases in its order; any other value goes through it.
+    if value is None or value is True or value is False:
+        return "null" if value is None else "true" if value else "false"
+    kind = type(value)
+    if kind is str:
+        return encode_basestring(value)
+    if kind is int:
+        return str(value)
+    return format_float(value) if kind is float else canonical_json(value)
+
+
 def _table_chunks(
     columns: Sequence[str], rows: Iterable[Sequence[object]], fmt: str, key: Optional[str]
 ) -> Iterator[bytes]:
     # Each row is encoded into data as it is written: csv.writer quotes a CSV
-    # row, a JSON row is its canonical_json object. The table is never held
-    # as text.
+    # row, a JSON row is canonical_json's object for dict(zip(columns, row)),
+    # each cell after its key's prefix. The table is never held as text.
     data = io.BytesIO()
     text = io.TextIOWrapper(data, encoding="utf-8", newline="", write_through=True)
     writerow = csv.writer(text, lineterminator="\n").writerow if fmt == "csv" else None
@@ -276,11 +288,14 @@ def _table_chunks(
         writerow(columns)
     else:
         text.write("[" if key is None else "{%s:[" % encode_basestring(key))
+        heads = [",%s:" % encode_basestring(column) for column in columns]
+        heads[0] = "{" + heads[0][1:]
     for index, row in enumerate(rows):
         if writerow is not None:
             writerow([_cell(value) for value in row])
         else:
-            text.write(("," if index else "") + canonical_json(dict(zip(columns, row))))
+            cells = "".join([head + _json_cell(value) for head, value in zip(heads, row)])
+            text.write(("," if index else "") + cells + "}")
         if data.tell() >= _WRITE_SLICE:
             yield data.getvalue()
             data.seek(0)
@@ -364,9 +379,7 @@ def _outcome_chunks(
             if escaped is None:
                 escaped = escapes[value] = encode_basestring(value)
             return escaped
-        if value is None or type(value) is bool:
-            return "null" if value is None else "true" if value else "false"
-        return canonical_json(value)
+        return _json_cell(value)
 
     allocation = outcome.allocation
     head = '{"algorithm":%s,"outcome":{"allocation":{%s},"unallocated":[%s],"created_node_ids":[%s],"trace":['

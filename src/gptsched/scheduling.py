@@ -97,13 +97,15 @@ class SchedulerConfig:
     resort_after_each_allocation makes the first-fit schedulers scan the
     current utilization ordering for every request; the default scans the
     ordering as it stood when the call started, with created nodes
-    appended.
+    appended. record_scans keeps each decision's scanned ids and power
+    estimates; with it off both are (), and a scan builds neither.
     """
 
     threshold: Threshold = Threshold(0.8)
     autoscale_template: Optional[NodeTemplate] = None
     resort_after_each_allocation: bool = False
     power_policy: PowerPolicy = DEFAULT_POWER_POLICY
+    record_scans: bool = True
 
 
 class ScanPrefix(Sequence[str]):
@@ -156,8 +158,9 @@ class DecisionRecord:
     read-only sequence equal to the tuple of those ids (a ScanPrefix from
     the schedulers). For the power scheduler, power_estimates holds
     (node_id, delta_watts) for every capacity-feasible candidate in scan
-    order. A created node carries created_node=True; a rejection carries a
-    reason and no chosen node.
+    order. Both are () when the config's record_scans is off. A created
+    node carries created_node=True; a rejection carries a reason and no
+    chosen node.
     """
 
     request_id: str
@@ -445,8 +448,8 @@ class ClusterState(Sequence[Node]):
 
 
 # What a scan returns: the chosen index or -1, the scanned node ids and the
-# power estimates of the candidates.
-_Pick = Tuple[int, ScanPrefix, Tuple[Tuple[str, float], ...]]
+# power estimates of the candidates (both () when scans are not recorded).
+_Pick = Tuple[int, Sequence[str], Tuple[Tuple[str, float], ...]]
 
 _entry_id = itemgetter(1)
 _entry_index = itemgetter(2)
@@ -568,6 +571,7 @@ class _FirstFit:
         # allocates onto it before the next pick, which refreshes its leaf.
         self.last = -1
         self.ids: List[str] = []
+        self.record = config.record_scans
 
     def pick(self, dc: float, dm: float, ds: float) -> _Pick:
         state, limit = self.state, self.limit
@@ -595,7 +599,9 @@ class _FirstFit:
             self.tree.refresh(self.last)
         return self.tree.candidates(dc, dm, ds)
 
-    def _scanned(self, length: int) -> ScanPrefix:
+    def _scanned(self, length: int) -> Sequence[str]:
+        if not self.record:
+            return ()
         if self.tree is None:
             # A linear pick: every resort pick and a call's first, the only
             # one of a timeline arrival. An exact-size tuple is the smallest
@@ -623,6 +629,7 @@ class _MinPowerDelta:
         self.absolute = state.policy.mode is PowerMode.ABSOLUTE_AFTER
         self.limit = 1.0 + TOLERANCE
         self.id_order = state.id_order()
+        self.record = config.record_scans
         # The scan covers every node, so the scanned ids only change when a
         # node is created; share one list between creations.
         self.scanned: Optional[ScanPrefix] = None
@@ -632,6 +639,7 @@ class _MinPowerDelta:
         uc, um, us = state.uc, state.um, state.us
         cc, cm, cs = state.cc, state.cm, state.cs
         pidle, pmax, power = state.pidle, state.pmax, state.power
+        record = self.record
         best = -1
         best_delta = float("inf")
         estimates: List[Tuple[str, float]] = []
@@ -646,10 +654,13 @@ class _MinPowerDelta:
             # power[i] is the node's draw before the allocation: 0 W when
             # the policy powers an empty node off.
             delta = after if absolute else after - power[i]
-            estimates.append((node_id, delta))
+            if record:
+                estimates.append((node_id, delta))
             if delta < best_delta:
                 best_delta = delta
                 best = i
+        if not record:
+            return best, (), ()
         if self.scanned is None:
             ids = [entry[0] for entry in self.id_order]
             self.scanned = ScanPrefix(ids, len(ids))
@@ -777,7 +788,8 @@ def schedule_power_efficient(
 
     Autoscaling is an opt-in extension: with no autoscale_template a
     request that fits no node is rejected. Decision records include the
-    per-candidate power estimates. Mutates nodes in place.
+    per-candidate power estimates unless config.record_scans is off.
+    Mutates nodes in place.
     """
 
     return _schedule(queue, nodes, config, coeffs, id_sequence, _MinPowerDelta)
