@@ -40,7 +40,6 @@ constraint violations (e.g. "scheduler.threshold: threshold must be in
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, fields, replace
 from functools import partial
 from typing import Any, Callable, Dict, List, Mapping, Optional, Tuple, TypeVar, Union
@@ -57,9 +56,10 @@ from .model import (
 )
 from .power import PowerMode, PowerPolicy
 from .profiler import ProfilerCoefficients
+from .reportio import TextStream, open_text
 from .scheduling import SchedulerConfig
 from .simulator import AdaptorPolicy
-from .workload import GeneratorSpec, LognormalSpec, TextStream, open_text, read_int, read_number
+from .workload import GeneratorSpec, LognormalSpec, decode_json, read_int, read_number
 
 DEFAULT_CAPACITY = ResourceVector(compute=1000.0, memory_gib=512.0, storage_gib=2000.0)
 DEFAULT_TEMPLATE = NodeTemplate(capacity=DEFAULT_CAPACITY, p_idle_w=100.0, p_max_w=400.0)
@@ -260,8 +260,9 @@ def parse_config(document: Dict[str, object]) -> ExperimentConfig:
     nodes = sections.get("cluster") or _cluster([{"count": DEFAULT_NODE_COUNT}], "cluster")
     autoscale = sections.get("autoscale", {})
     enabled = autoscale.pop("enabled", True)
+    template = _template(nodes[0].template, autoscale, "autoscale")  # checked even when disabled
     scheduler = SchedulerConfig(
-        autoscale_template=_template(nodes[0].template, autoscale, "autoscale") if enabled else None,
+        autoscale_template=template if enabled else None,
         power_policy=PowerPolicy(**sections.get("power", {})),
         **sections.get("scheduler", {}),
     )
@@ -291,13 +292,13 @@ def load_cluster_config(source: TextStream) -> ExperimentConfig:
     or any field constraint violation; the message names the field path.
     """
 
-    with open_text(source, "r") as stream:
+    with open_text(source) as stream:
         try:
             text = stream.read()
         except UnicodeDecodeError as exc:
             raise ConfigError(f"config is not valid UTF-8: {exc}") from None
     try:
-        document = json.loads(text)
-    except ValueError as exc:  # a JSONDecodeError, or an integer past the digit limit
+        document = decode_json(text)
+    except ValueError as exc:  # bad JSON, an integer past the digit limit, or nesting too deep
         raise ConfigError(f"config is not valid JSON: {exc}") from None
     return parse_config(document)

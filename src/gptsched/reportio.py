@@ -15,13 +15,15 @@ Every table (the one-row report CSV, snapshots, comparisons) is written
 by one table writer, as CSV or as a JSON list of row objects; either is
 encoded row by row and leaves in chunks, like the outcome document.
 
-A path sink (a symbolic link's target, for a link) is written chunk by
-chunk to a temporary file beside it, which replaces it only once the
-whole document is written, so any error (ValidationError for a non-finite
-float or a string UTF-8 cannot encode) leaves an existing output
-untouched; a device or pipe path is written through, so it may receive
-part of a document or table before such an error. A stream sink
-receives the finished text in one write.
+This module opens every file the package reads or writes: open_text
+reads a trace or a config, and write_chunks writes every output, the
+JSON Lines trace included. A path sink (a symbolic link's target, for a
+link) is written chunk by chunk to a temporary file beside it, which
+replaces it only once the whole document is written, so any error (a
+full disk, or a ValidationError for a non-finite float or a string UTF-8
+cannot encode) leaves an existing output untouched; a device or pipe path
+is written through, so it may receive part of a document or table before
+such an error. A stream sink receives the finished text in one write.
 
 Schemas:
 
@@ -46,18 +48,20 @@ import csv
 import io
 import math
 import os
+from contextlib import contextmanager
 from dataclasses import fields
 from itertools import accumulate, count
 from json.encoder import encode_basestring
 from operator import attrgetter
 from pathlib import Path
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple, Union
+from typing import IO, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple, Union
 
 from .metrics import Report
 from .model import ValidationError
 from .scheduling import AllocationOutcome, DecisionRecord, ScanPrefix
 from .simulator import SnapshotRow
-from .workload import TextStream
+
+TextStream = Union[str, Path, IO[str]]
 
 REPORT_CSV_COLUMNS = (
     "mean_compute_utilization",
@@ -214,13 +218,19 @@ def outcome_to_dict(outcome: AllocationOutcome) -> Dict[str, object]:
 _WRITE_SLICE = 1 << 20
 
 
-def _utf8(text: str, end: str = "") -> Iterator[bytes]:
-    for start in range(0, len(text), _WRITE_SLICE):
-        yield text[start : start + _WRITE_SLICE].encode()
-    yield end.encode()
+@contextmanager
+def open_text(source: TextStream) -> Iterator[IO[str]]:
+    """A path opened for reading as UTF-8 text (line endings translated)
+    and closed on exit, or a stream as given."""
+
+    if isinstance(source, (str, Path)):
+        with open(source, encoding="utf-8") as stream:
+            yield stream
+    else:
+        yield source
 
 
-def _write(chunks: Iterable[Union[bytes, memoryview]], sink: TextStream) -> None:
+def write_chunks(chunks: Iterable[Union[bytes, memoryview]], sink: TextStream) -> None:
     """Write a document's UTF-8 chunks to a sink (see the module docstring)."""
 
     try:
@@ -317,7 +327,7 @@ def _write_table(
 
     if fmt not in ("json", "csv"):
         raise ValidationError(f"format must be json or csv, got {fmt!r}")
-    _write(_table_chunks(columns, rows, fmt, key), sink)
+    write_chunks(_table_chunks(columns, rows, fmt, key), sink)
 
 
 def write_report(
@@ -344,7 +354,8 @@ def write_report(
     doc: Dict[str, object] = {} if algorithm is None else {"algorithm": algorithm}
     doc.update(report_to_dict(payload))
     if fmt == "json":
-        _write(_utf8(canonical_json(doc), "\n"), sink)
+        # Encoded inside write_chunks, which reports a string UTF-8 cannot encode.
+        write_chunks(map(str.encode, [canonical_json(doc) + "\n"]), sink)
         return
     per = doc["per_resource_mean_utilization"]
     doc["mean_memory_utilization"], doc["mean_storage_utilization"] = per["memory"], per["storage"]
@@ -359,7 +370,7 @@ def write_outcome_document(
     bytes of canonical_json({"algorithm", "outcome": outcome_to_dict(outcome),
     "report": report_to_dict(report)}) and a newline."""
 
-    _write(_outcome_chunks(algorithm, outcome, report), sink)
+    write_chunks(_outcome_chunks(algorithm, outcome, report), sink)
 
 
 def _outcome_chunks(

@@ -9,7 +9,8 @@ with keys in this order:
 
 The first five are required; demand and the timing fields are optional and
 omitted when absent. Floats are written with Python's shortest round-trip
-repr so a write/load cycle reproduces the exact request list.
+repr so a write/load cycle reproduces the exact request list. reportio
+opens the file: a written trace replaces its path whole or not at all.
 
 Random generator. All sampling uses SplitMix64, a tiny, well-known 64-bit
 generator chosen so a reimplementation in any language reproduces the same
@@ -28,10 +29,8 @@ from __future__ import annotations
 import io
 import json
 import math
-from contextlib import contextmanager
 from dataclasses import dataclass
-from pathlib import Path
-from typing import Any, Dict, IO, Iterator, List, Optional, Sequence, Tuple, Union
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from .model import (
     GptRequest,
@@ -42,6 +41,7 @@ from .model import (
     plain_request_values,
     trusted,
 )
+from .reportio import TextStream, open_text, write_chunks
 
 MIN_TOKENS = 1
 MAX_TOKENS = 32768
@@ -51,23 +51,6 @@ MAX_REQUEST_COUNT = 1_000_000
 
 _MASK64 = (1 << 64) - 1
 _GOLDEN_GAMMA = 0x9E3779B97F4A7C15
-
-TextStream = Union[str, Path, IO[str]]
-
-
-@contextmanager
-def open_text(target: TextStream, mode: str) -> Iterator[IO[str]]:
-    """A path opened as UTF-8 text and closed on exit, or a stream as given.
-
-    Reading translates line endings; writing emits the text unchanged.
-    """
-
-    if isinstance(target, (str, Path)):
-        with open(target, mode, encoding="utf-8", newline=None if mode == "r" else "") as stream:
-            yield stream
-    else:
-        yield target
-
 
 class TraceParseError(GptSchedError):
     """A trace line could not be parsed or validated. Carries line_no."""
@@ -377,21 +360,23 @@ def request_from_dict(obj: Dict[str, object], line_no: int = 0) -> GptRequest:
 
 
 _raw_decode = json.JSONDecoder().raw_decode
+_encode_record = json.JSONEncoder(separators=(",", ":")).encode  # json.dumps' encoder, built once
 
 
-def _decode_line(text: str, line_no: int) -> object:
-    """One stripped line's JSON value; a refusal keeps json.loads' message."""
+def decode_json(text: str) -> object:
+    """The JSON value text holds; a refusal is a ValueError with json.loads'
+    message, nesting too deep for the interpreter's stack included."""
 
     try:
-        obj, end = _raw_decode(text)
-        if end == len(text):
-            return obj
-    except ValueError:
-        pass
-    try:
+        try:
+            obj, end = _raw_decode(text)
+            if end == len(text):
+                return obj
+        except ValueError:
+            pass
         return json.loads(text)
-    except ValueError as exc:  # a JSONDecodeError, or an integer past the digit limit
-        raise TraceParseError(line_no, f"invalid JSON: {getattr(exc, 'msg', exc)}") from None
+    except RecursionError as exc:
+        raise ValueError(str(exc)) from None
 
 
 def load_trace(source: TextStream) -> List[GptRequest]:
@@ -402,7 +387,7 @@ def load_trace(source: TextStream) -> List[GptRequest]:
     duplicate request ids and text that is not UTF-8.
     """
 
-    with open_text(source, "r") as stream:
+    with open_text(source) as stream:
         requests: List[GptRequest] = []
         seen: Dict[str, int] = {}
         line_no = 0
@@ -411,7 +396,11 @@ def load_trace(source: TextStream) -> List[GptRequest]:
                 text = line.strip()
                 if not text:
                     continue
-                request = request_from_dict(_decode_line(text, line_no), line_no)
+                try:
+                    obj = decode_json(text)
+                except ValueError as exc:  # bad JSON, an integer past the digit limit, or nesting too deep
+                    raise TraceParseError(line_no, f"invalid JSON: {getattr(exc, 'msg', exc)}") from None
+                request = request_from_dict(obj, line_no)
                 first = seen.setdefault(request.id, line_no)
                 if first != line_no:
                     raise TraceParseError(
@@ -428,12 +417,10 @@ def load_trace(source: TextStream) -> List[GptRequest]:
 
 
 def write_trace(requests: Sequence[GptRequest], sink: TextStream) -> None:
-    """Write requests as JSON Lines to a path or text stream."""
+    """Write requests as JSON Lines to a path or text stream, as reportio writes every output."""
 
-    with open_text(sink, "w") as stream:
-        for request in requests:
-            stream.write(json.dumps(request_to_dict(request), separators=(",", ":")))
-            stream.write("\n")
+    lines = (_encode_record(request_to_dict(request)) + "\n" for request in requests)
+    write_chunks(map(str.encode, lines), sink)
 
 
 def trace_to_string(requests: Sequence[GptRequest]) -> str:

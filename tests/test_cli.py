@@ -488,3 +488,39 @@ def test_simulate_failing_snapshots_keep_an_existing_report(tmp_path, capsys) ->
     assert code == 2
     assert "snapshots.csv" in capsys.readouterr().err
     assert (out_dir / "report.json").read_bytes() == b"previous report\n"
+
+
+def test_trace_nested_deeper_than_the_stack_exits_2(tmp_path, capsys) -> None:
+    trace = tmp_path / "deep.jsonl"
+    trace.write_text(TWENTY_PCT_LINE + "[" * 100_000 + "]" * 100_000 + "\n", encoding="utf-8")
+    assert main([
+        "schedule", "--workload", str(trace), "--algorithm", "max-util",
+        "--out", str(tmp_path / "out.json"),
+    ]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("gptsched: line 2: invalid JSON: maximum recursion depth exceeded")
+    assert "Traceback" not in err
+    assert not (tmp_path / "out.json").exists()
+
+
+def test_config_nested_deeper_than_the_stack_exits_2(tmp_path, capsys, pct_trace) -> None:
+    config = tmp_path / "config.json"
+    config.write_text('{"cluster": ' + "[" * 100_000 + "]" * 100_000 + "}", encoding="utf-8")
+    assert main([
+        "schedule", "--workload", pct_trace, "--config", str(config),
+        "--algorithm", "max-util", "--out", str(tmp_path / "out.json"),
+    ]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("gptsched: config is not valid JSON: maximum recursion depth exceeded")
+    assert not (tmp_path / "out.json").exists()
+
+
+def test_disabled_autoscale_section_is_still_validated(tmp_path, capsys, pct_trace) -> None:
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"autoscale": {"enabled": False, "capacity": {"compute": -1}}}), encoding="utf-8")
+    assert main([
+        "schedule", "--workload", pct_trace, "--config", str(config),
+        "--algorithm", "max-util", "--out", str(tmp_path / "out.json"),
+    ]) == 2
+    assert capsys.readouterr().err.startswith("gptsched: autoscale.capacity: ")
+    assert not (tmp_path / "out.json").exists()

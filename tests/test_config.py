@@ -204,3 +204,11 @@ def test_null_sections_and_keys_are_unset() -> None:
     # A null inside a group leaves that key at its default too.
     config = parse_config({"cluster": [{"count": 2, "capacity": {"compute": None}, "p_max_w": None}]})
     assert [n.template for n in config.initial_nodes] == [DEFAULT_TEMPLATE] * 2
+
+
+def test_disabled_autoscale_section_is_checked_as_an_enabled_one() -> None:
+    with pytest.raises(ConfigError, match=r"^autoscale\.capacity: "):
+        _load({"autoscale": {"enabled": False, "capacity": {"compute": -1}}})
+    with pytest.raises(ConfigError, match=r"^autoscale: "):
+        _load({"autoscale": {"enabled": False, "p_idle_w": 500}})
+    assert _load({"autoscale": {"enabled": False, "p_idle_w": 50}}).autoscale_template is None
