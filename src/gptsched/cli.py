@@ -28,7 +28,7 @@ from .model import GptSchedError, Threshold
 from .reportio import write_comparison, write_outcome_document, write_report
 from .scheduling import ALGORITHMS
 from .simulator import run_batch, run_timeline
-from .workload import generate_synthetic, load_trace, write_trace
+from .workload import echo, generate_synthetic, load_trace, write_trace
 
 logger = logging.getLogger(__name__)
 
@@ -38,7 +38,7 @@ def _configure_logging() -> None:
     levels = {"error": logging.ERROR, "info": logging.INFO, "debug": logging.DEBUG}
     level = levels.get(raw)
     if level is None:
-        print(f"gptsched: ignoring unknown GPTSCHED_LOG value {raw!r}", file=sys.stderr)
+        print(f"gptsched: ignoring unknown GPTSCHED_LOG value {echo(raw)}", file=sys.stderr)
         level = logging.ERROR
     logging.basicConfig(
         level=level, stream=sys.stderr, format="%(levelname)s %(name)s: %(message)s"

@@ -59,7 +59,7 @@ from .profiler import ProfilerCoefficients
 from .reportio import TextStream, open_text
 from .scheduling import SchedulerConfig
 from .simulator import AdaptorPolicy
-from .workload import GeneratorSpec, LognormalSpec, decode_json, read_int, read_number
+from .workload import GeneratorSpec, LognormalSpec, decode_json, echo, read_int, read_number
 
 DEFAULT_CAPACITY = ResourceVector(compute=1000.0, memory_gib=512.0, storage_gib=2000.0)
 DEFAULT_TEMPLATE = NodeTemplate(capacity=DEFAULT_CAPACITY, p_idle_w=100.0, p_max_w=400.0)
@@ -115,7 +115,7 @@ def _fields(raw: object, path: str, readers: Mapping[str, Reader]) -> Dict[str, 
         raise ConfigError(f"{path}: must be a JSON object")
     unknown = set(raw) - set(readers)
     if unknown:
-        raise ConfigError(f"{path}: unknown keys {sorted(unknown)} (allowed: {sorted(readers)})")
+        raise ConfigError(f"{path}: unknown keys {echo(sorted(unknown))} (allowed: {sorted(readers)})")
     prefix = "" if path == "config" else f"{path}."  # sections are named bare
     parsed: Dict[str, Any] = {}
     for key, read in readers.items():
@@ -149,7 +149,7 @@ def _integer(value: object, path: str) -> int:
 
 def _boolean(value: object, path: str) -> bool:
     if not isinstance(value, bool):
-        raise ValidationError(f"must be true or false, got {value!r}")
+        raise ValidationError(f"must be true or false, got {echo(value)}")
     return value
 
 
@@ -164,7 +164,7 @@ def _power_mode(value: object, path: str) -> PowerMode:
     try:
         return PowerMode(value)
     except ValueError:
-        raise ValidationError(f"must be one of {[m.value for m in PowerMode]}, got {value!r}") from None
+        raise ValidationError(f"must be one of {[m.value for m in PowerMode]}, got {echo(value)}") from None
 
 
 def _lognormal(value: object, path: str) -> LognormalSpec:

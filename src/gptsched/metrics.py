@@ -8,14 +8,16 @@ The three scheduling objectives are measured as:
 
 k counts every provisioned node, including empty ones and nodes created by
 autoscaling, so consolidation is rewarded only when idle nodes are actually
-retired.
+retired. Each mean is the exact sum (math.fsum) divided by k, and the
+stddev is the correctly rounded square root of the exact population
+variance, so both are the same float on every interpreter.
 """
 
 from __future__ import annotations
 
-import statistics
+import math
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import List, Optional, Sequence
 
 from .model import GptSchedError, Node, UtilizationVector
 from .power import DEFAULT_POWER_POLICY, PowerPolicy, total_power
@@ -50,24 +52,54 @@ class Report:
     energy_wh: Optional[float] = None
 
 
+def _mean(values: List[float]) -> float:
+    return math.fsum(values) / len(values)
+
+
 def mean_compute_utilization(nodes: Sequence[Node]) -> float:
     """Mean compute utilization over all nodes. Undefined for no nodes."""
 
     if not nodes:
         raise UndefinedMetricError("mean utilization is undefined over zero nodes")
-    return statistics.fmean(node.utilization.compute for node in nodes)
+    return _mean([node.utilization.compute for node in nodes])
+
+
+# Bits of the integer root before the one rounding to a float: two float
+# significands and three more, so that rounding to odd first loses nothing.
+_ROOT_BITS = 2 * 53 + 3
 
 
 def utilization_stddev(nodes: Sequence[Node]) -> float:
     """Population standard deviation of compute utilization across nodes.
 
-    statistics.pstdev accumulates squared deviations in exact rational
-    arithmetic, so identical utilizations report exactly 0.0 spread.
+    The variance n*sum(x**2) - sum(x)**2 over n**2 is formed exactly in
+    integers, each utilization scaled to the largest power-of-two
+    denominator among them, so identical utilizations report exactly 0.0
+    spread. Its square root is correctly rounded: the integer root carries
+    at least 55 bits, rounded to odd, before the one rounding to a float
+    (https://bugs.python.org/msg407078).
     """
 
     if not nodes:
         raise UndefinedMetricError("utilization stddev is undefined over zero nodes")
-    return statistics.pstdev(node.utilization.compute for node in nodes)
+    ratios = [node.utilization.compute.as_integer_ratio() for node in nodes]
+    scale = max(d for _, d in ratios)  # every d is a power of two
+    scaled = [n * (scale // d) for n, d in ratios]
+    count, total = len(scaled), sum(scaled)
+    num = count * sum(x * x for x in scaled) - total * total
+    den = (count * scale) ** 2
+    if not num:
+        return 0.0
+    # Scale num/den by 4**-shift so that its root has at least 55 bits, and
+    # undo the scaling in the one division that rounds to a float.
+    shift = (num.bit_length() - den.bit_length() - _ROOT_BITS) // 2
+    if shift >= 0:
+        den <<= 2 * shift
+    else:
+        num <<= -2 * shift
+    root = math.isqrt(num // den)
+    root |= root * root * den != num
+    return float(root << shift) if shift >= 0 else root / (1 << -shift)
 
 
 def per_resource_mean_utilization(nodes: Sequence[Node]) -> UtilizationVector:
@@ -76,9 +108,9 @@ def per_resource_mean_utilization(nodes: Sequence[Node]) -> UtilizationVector:
     if not nodes:
         raise UndefinedMetricError("per-resource means are undefined over zero nodes")
     return UtilizationVector(
-        compute=statistics.fmean(node.utilization.compute for node in nodes),
-        memory=statistics.fmean(node.utilization.memory for node in nodes),
-        storage=statistics.fmean(node.utilization.storage for node in nodes),
+        compute=_mean([node.utilization.compute for node in nodes]),
+        memory=_mean([node.utilization.memory for node in nodes]),
+        storage=_mean([node.utilization.storage for node in nodes]),
     )
 
 

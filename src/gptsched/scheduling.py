@@ -223,9 +223,6 @@ class NodeIdSequence:
         self._used: Set[str] = set(used)
         self._counter = 1
 
-    def reserve(self, ids: Iterable[str]) -> None:
-        self._used.update(ids)
-
     def next_id(self) -> str:
         while True:
             candidate = f"auto-{self._counter}"

@@ -139,11 +139,11 @@ class GeneratorSpec:
 
     def __post_init__(self) -> None:
         if not isinstance(self.request_count, int) or self.request_count <= 0:
-            raise ValidationError(f"request_count must be a positive int, got {self.request_count!r}")
+            raise ValidationError(f"request_count must be a positive int, got {echo(self.request_count)}")
         if self.request_count > MAX_REQUEST_COUNT:
-            raise ValidationError(f"request_count must be at most {MAX_REQUEST_COUNT}, got {self.request_count!r}")
+            raise ValidationError(f"request_count must be at most {MAX_REQUEST_COUNT}, got {echo(self.request_count)}")
         if not isinstance(self.seed, int) or not 0 <= self.seed <= _MASK64:
-            raise ValidationError(f"seed must be an unsigned 64-bit int, got {self.seed!r}")
+            raise ValidationError(f"seed must be an unsigned 64-bit int, got {echo(self.seed)}")
         choices = tuple((float(size), float(prob)) for size, prob in self.model_size_choices_b)
         object.__setattr__(self, "model_size_choices_b", choices)
         if not choices:
@@ -246,6 +246,20 @@ def request_to_dict(request: GptRequest) -> Dict[str, object]:
     return record
 
 
+# The most characters of an outside value that a refusal repeats.
+_ECHO_CHARS = 1000
+
+
+def echo(value: object) -> str:
+    """repr(value) for a refusal message: at most its first 1,000
+    characters, followed by how many were cut."""
+
+    text = repr(value)
+    if len(text) <= _ECHO_CHARS:
+        return text
+    return f"{text[:_ECHO_CHARS]}... ({len(text) - _ECHO_CHARS} more characters)"
+
+
 def read_number(value: object) -> float:
     """A JSON number as a finite float, else a ValidationError naming no field.
 
@@ -253,13 +267,13 @@ def read_number(value: object) -> float:
     """
 
     if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ValidationError(f"must be a number, got {value!r}")
+        raise ValidationError(f"must be a number, got {echo(value)}")
     try:
         number = float(value)
     except OverflowError:
         number = math.inf
     if not math.isfinite(number):
-        raise ValidationError(f"must be finite, got {value!r}")
+        raise ValidationError(f"must be finite, got {echo(value)}")
     return number
 
 
@@ -267,7 +281,7 @@ def read_int(value: object) -> int:
     """A JSON integer, refused as read_number refuses one too large for a float."""
 
     if isinstance(value, bool) or not isinstance(value, int):
-        raise ValidationError(f"must be an integer, got {value!r}")
+        raise ValidationError(f"must be an integer, got {echo(value)}")
     read_number(value)
     return value
 
@@ -323,19 +337,19 @@ def request_from_dict(obj: Dict[str, object], line_no: int = 0) -> GptRequest:
         missing = next(key for key in _REQUIRED_KEYS if key not in obj)
         raise TraceParseError(line_no, f"missing required field {missing!r}")
     if not obj.keys() <= _KNOWN:
-        raise TraceParseError(line_no, f"unknown fields {sorted(obj.keys() - _KNOWN)}")
+        raise TraceParseError(line_no, f"unknown fields {echo(sorted(obj.keys() - _KNOWN))}")
 
     request_id = obj["id"]
     if not isinstance(request_id, str) or not request_id:
-        raise TraceParseError(line_no, f"field 'id' must be a non-empty string, got {request_id!r}")
+        raise TraceParseError(line_no, f"field 'id' must be a non-empty string, got {echo(request_id)}")
     try:
         request_id.encode()
     except UnicodeEncodeError:
-        raise TraceParseError(line_no, f"field 'id' must be encodable as UTF-8, got {request_id!r}") from None
+        raise TraceParseError(line_no, f"field 'id' must be encodable as UTF-8, got {echo(request_id)}") from None
     try:
         kind = TaskKind(obj["task_kind"])
     except ValueError:
-        raise TraceParseError(line_no, f"unknown task_kind {obj['task_kind']!r}") from None
+        raise TraceParseError(line_no, f"unknown task_kind {echo(obj['task_kind'])}") from None
 
     demand: Optional[ResourceVector] = None
     if "demand" in obj:
@@ -404,7 +418,7 @@ def load_trace(source: TextStream) -> List[GptRequest]:
                 first = seen.setdefault(request.id, line_no)
                 if first != line_no:
                     raise TraceParseError(
-                        line_no, f"duplicate request id {request.id!r} (first seen on line {first})"
+                        line_no, f"duplicate request id {echo(request.id)} (first seen on line {first})"
                     )
                 requests.append(request)
         except UnicodeDecodeError as exc:

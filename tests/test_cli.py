@@ -280,6 +280,27 @@ def test_invalid_config_exits_2(tmp_path, capsys) -> None:
     assert "scheduler.threshold" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("where", ["config-threshold", "trace-task-kind"])
+def test_a_huge_refused_value_is_echoed_in_1000_characters(tmp_path, capsys, where) -> None:
+    config = tmp_path / "config.json"
+    trace = tmp_path / "trace.jsonl"
+    if where == "config-threshold":
+        value: object = "x" * 1_000_000
+        config.write_text(json.dumps({"scheduler": {"threshold": value}}), encoding="utf-8")
+        trace.write_text(TWENTY_PCT_LINE, encoding="utf-8")
+    else:
+        value = list(range(100_000))
+        config.write_text("{}", encoding="utf-8")
+        trace.write_text(json.dumps({**json.loads(TWENTY_PCT_LINE), "task_kind": value}) + "\n", encoding="utf-8")
+    assert main([
+        "schedule", "--workload", str(trace), "--config", str(config),
+        "--algorithm", "max-util", "--out", str(tmp_path / "out.json"),
+    ]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and len(err) < 1100
+    assert f"... ({len(repr(value)) - 1000} more characters)" in err
+
+
 def test_unknown_algorithm_is_a_usage_error(tmp_path, pct_trace) -> None:
     with pytest.raises(SystemExit) as excinfo:
         main(["schedule", "--workload", pct_trace, "--algorithm", "fifo", "--out", "x"])

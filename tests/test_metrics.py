@@ -4,8 +4,16 @@ from __future__ import annotations
 
 import math
 import random
+import statistics
+import struct
+import subprocess
+import sys
+from fractions import Fraction
+from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from gptsched import (
     AllocationOutcome,
@@ -130,3 +138,61 @@ def test_build_report_integrity_checks() -> None:
     # Timeline runs may reference scaled-down nodes.
     report = build_report(ghost, nodes, require_allocation_targets=False)
     assert report.request_count == 1
+
+
+def test_cli_import_loads_no_statistics_fractions_or_decimal() -> None:
+    src = Path(__file__).resolve().parent.parent / "src"
+    probe = "import sys, gptsched.cli; print(sorted({'statistics', 'fractions', 'decimal'} & set(sys.modules)))"
+    proc = subprocess.run(
+        [sys.executable, "-c", probe], capture_output=True, text=True, env={"PYTHONPATH": str(src)}
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+
+
+def _assert_correctly_rounded_root(root: float, square: Fraction) -> None:
+    # root is the float nearest the exact square root of square, ties to
+    # even: square lies between the squares of the midpoints to root's
+    # neighbours, and on one of them only when root's last bit is 0.
+    low = (Fraction(root) + Fraction(math.nextafter(root, -math.inf))) / 2
+    high = (Fraction(root) + Fraction(math.nextafter(root, math.inf))) / 2
+    assert (low < 0 or low * low <= square) and square <= high * high
+    if square == high * high or (low >= 0 and square == low * low):
+        assert struct.unpack("<q", struct.pack("<d", root))[0] % 2 == 0
+
+
+# Zeros, utilizations in [0, 1], subnormals, and values above 1 up to the
+# size where the variance reaches 2**109 and the root is taken unscaled.
+_UTILIZATIONS = st.one_of(
+    st.just(0.0),
+    st.floats(0.0, 1.0),
+    st.floats(0.0, 2.0**-1022),
+    st.floats(1.0, 1e300),
+)
+_UTILIZATION_LISTS = st.one_of(
+    st.lists(_UTILIZATIONS, min_size=1, max_size=400),
+    st.tuples(_UTILIZATIONS, st.integers(1, 400)).map(lambda pair: [pair[0]] * pair[1]),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_UTILIZATION_LISTS)
+@example([0.09, 0.993])  # 3.10's statistics.pstdev is one ulp low here
+@example([5e-324, 0.0])
+@example([0.0, 2.0**60])
+def test_mean_and_stddev_are_exact(utils: list) -> None:
+    nodes = _cluster(utils)
+    mean, stddev = mean_compute_utilization(nodes), utilization_stddev(nodes)
+    assert type(mean) is float and type(stddev) is float
+    assert mean == statistics.fmean(utils)
+    assert per_resource_mean_utilization(nodes).compute == mean
+    exact = [Fraction(u) for u in utils]
+    centre = sum(exact) / len(exact)
+    _assert_correctly_rounded_root(stddev, sum((u - centre) ** 2 for u in exact) / len(exact))
+    if sys.version_info >= (3, 11):
+        assert stddev == statistics.pstdev(utils)
+
+
+def test_stddev_is_a_float_when_the_variance_passes_two_to_the_109() -> None:
+    stddev = utilization_stddev(_cluster([0.0, 2.0**60]))
+    assert type(stddev) is float and stddev == 2.0**59

@@ -18,7 +18,6 @@ from gptsched import (
     GeneratorSpec,
     LognormalSpec,
     Node,
-    NodeIdSequence,
     PowerMode,
     PowerPolicy,
     SchedulerConfig,
@@ -532,21 +531,10 @@ def test_timeline_arrival_does_not_sort_or_reserve_every_node(monkeypatch, algor
     n, m = 3000, 60
     nodes = [Node(id=_CountedId(f"n{i:04d}"), template=template()) for i in range(n)]
     workload = [request(f"r{k:03d}", 10.0, arrival_s=float(k), duration_s=30.0) for k in range(m)]
-    reserved = 0
-    reserve = NodeIdSequence.reserve
-
-    def counting_reserve(self, ids) -> None:
-        nonlocal reserved
-        ids = list(ids)
-        reserved += len(ids)
-        reserve(self, ids)
-
-    monkeypatch.setattr(NodeIdSequence, "reserve", counting_reserve)
     monkeypatch.setattr(_CountedId, "comparisons", 0)
     config = _config(resort_after_each_allocation=resort)
     result = run_timeline(workload, nodes, algorithm, config, AdaptorPolicy(scale_down_grace_s=1e6), 1e6)
     assert len(result.outcome.allocation) == m
-    assert reserved <= n + m
     assert _CountedId.comparisons <= 6 * n + 16 * m * math.ceil(math.log2(n))
 
 
