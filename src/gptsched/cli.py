@@ -8,14 +8,14 @@ compare   run all three algorithms from identical initial clusters,
           write the comparison table
 
 Exit codes: 0 success, 2 usage/validation/configuration error, 3 run
-completed but some requests were unallocated. Diagnostics go to stderr
-(verbosity via GPTSCHED_LOG=error|info|debug); data goes to files.
+completed but some requests were unallocated. Data goes to files, and
+only this module writes to stderr: errors, and with GPTSCHED_LOG=info|debug
+(read by each main() call) an "INFO gptsched:" line per step.
 """
 
 from __future__ import annotations
 
 import argparse
-import logging
 import os
 import sys
 from dataclasses import replace
@@ -24,25 +24,16 @@ from typing import List, Optional, Sequence, Tuple
 
 from .config import ExperimentConfig, default_config, load_cluster_config
 from .metrics import Report
-from .model import GptSchedError, Threshold
+from .model import GptRequest, GptSchedError, Node, Threshold, echo
 from .reportio import write_comparison, write_outcome_document, write_report
-from .scheduling import ALGORITHMS
-from .simulator import run_batch, run_timeline
-from .workload import echo, generate_synthetic, load_trace, write_trace
-
-logger = logging.getLogger(__name__)
+from .scheduling import ALGORITHMS, AllocationOutcome
+from .simulator import EventKind, SimEvent, run_batch, run_timeline
+from .workload import generate_synthetic, load_trace, write_trace
 
 
-def _configure_logging() -> None:
-    raw = os.environ.get("GPTSCHED_LOG", "error").lower()
-    levels = {"error": logging.ERROR, "info": logging.INFO, "debug": logging.DEBUG}
-    level = levels.get(raw)
-    if level is None:
-        print(f"gptsched: ignoring unknown GPTSCHED_LOG value {echo(raw)}", file=sys.stderr)
-        level = logging.ERROR
-    logging.basicConfig(
-        level=level, stream=sys.stderr, format="%(levelname)s %(name)s: %(message)s"
-    )
+def _note(args: argparse.Namespace, message: str) -> None:
+    if args.log_info:
+        print(f"INFO gptsched: {message}", file=sys.stderr)
 
 
 def _add_common_flags(parser: argparse.ArgumentParser, *, algorithm: bool) -> None:
@@ -123,28 +114,44 @@ def cmd_gen(args: argparse.Namespace) -> int:
         spec = replace(spec, **overrides)
     requests = generate_synthetic(spec)
     write_trace(requests, args.out)
-    logger.info("wrote %d requests to %s", len(requests), args.out)
+    _note(args, f"wrote {len(requests)} requests to {args.out}")
     return 0
+
+
+def _run_batch(
+    args: argparse.Namespace, config: ExperimentConfig, workload: Sequence[GptRequest], name: str
+) -> Tuple[AllocationOutcome, Report]:
+    outcome, report = run_batch(
+        workload, config.fresh_nodes(), name, config.scheduler, coeffs=config.coefficients
+    )
+    _note(
+        args,
+        f"batch {name}: {report.request_count} requests, "
+        f"{report.unallocated_count} unallocated, {report.node_count} nodes",
+    )
+    return outcome, report
 
 
 def cmd_schedule(args: argparse.Namespace) -> int:
     config = _load_config(args, record_scans=args.format == "json")
     workload = load_trace(args.workload)
-    nodes = config.fresh_nodes()
-    outcome, report = run_batch(
-        workload, nodes, args.algorithm, config.scheduler, coeffs=config.coefficients
-    )
+    outcome, report = _run_batch(args, config, workload, args.algorithm)
     if args.format == "json":
         write_outcome_document(args.algorithm, outcome, report, args.out)
     else:
         write_report(report, "csv", args.out, algorithm=args.algorithm)
-    logger.info("schedule %s: wrote %s", args.algorithm, args.out)
+    _note(args, f"schedule {args.algorithm}: wrote {args.out}")
     return 3 if report.unallocated_count else 0
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
     config = _load_config(args, record_scans=False)
     workload = load_trace(args.workload)
+
+    def note_removal(event: SimEvent, nodes: Sequence[Node]) -> None:
+        if event.kind is EventKind.SCALE_CHECK:
+            _note(args, f"scaled down node {event.node_id} at t={event.time_s:.3f}")
+
     result = run_timeline(
         workload,
         config.initial_nodes,
@@ -153,6 +160,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         config.adaptor,
         args.snapshot_interval,
         coeffs=config.coefficients,
+        on_event=note_removal if args.log_info else None,  # no per-event call by default
     )
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -160,12 +168,10 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     write_report(result.snapshots, "csv", out_dir / "snapshots.csv")
     report_path = out_dir / ("report.json" if args.format == "json" else "report.csv")
     write_report(result.report, args.format, report_path, algorithm=args.algorithm)
-    logger.info(
-        "simulate %s: %d snapshots, %.6f Wh, wrote %s",
-        args.algorithm,
-        len(result.snapshots),
-        result.report.energy_wh or 0.0,
-        out_dir,
+    _note(
+        args,
+        f"simulate {args.algorithm}: {len(result.snapshots)} snapshots, "
+        f"{result.report.energy_wh or 0.0:.6f} Wh, wrote {out_dir}",
     )
     return 3 if result.report.unallocated_count else 0
 
@@ -176,21 +182,22 @@ def cmd_compare(args: argparse.Namespace) -> int:
     results: List[Tuple[str, Report]] = []
     worst = 0
     for name in ALGORITHMS:
-        _, report = run_batch(
-            workload, config.fresh_nodes(), name, config.scheduler, coeffs=config.coefficients
-        )
+        _, report = _run_batch(args, config, workload, name)
         results.append((name, report))
         if report.unallocated_count:
             worst = 3
     write_comparison(results, args.format, args.out)
-    logger.info("compare: wrote %s", args.out)
+    _note(args, f"compare: wrote {args.out}")
     return worst
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    _configure_logging()
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    level = os.environ.get("GPTSCHED_LOG", "error").lower()
+    if level not in ("error", "info", "debug"):
+        print(f"gptsched: ignoring unknown GPTSCHED_LOG value {echo(level)}", file=sys.stderr)
+        level = "error"
+    args = build_parser().parse_args(argv)
+    args.log_info = level != "error"
     try:
         return args.handler(args)
     except (GptSchedError, OSError) as exc:

@@ -53,13 +53,14 @@ from .model import (
     Threshold,
     UtilizationVector,
     ValidationError,
+    echo,
 )
 from .power import PowerMode, PowerPolicy
 from .profiler import ProfilerCoefficients
 from .reportio import TextStream, open_text
 from .scheduling import SchedulerConfig
 from .simulator import AdaptorPolicy
-from .workload import GeneratorSpec, LognormalSpec, decode_json, echo, read_int, read_number
+from .workload import GeneratorSpec, LognormalSpec, decode_json, read_int, read_number
 
 DEFAULT_CAPACITY = ResourceVector(compute=1000.0, memory_gib=512.0, storage_gib=2000.0)
 DEFAULT_TEMPLATE = NodeTemplate(capacity=DEFAULT_CAPACITY, p_idle_w=100.0, p_max_w=400.0)

@@ -346,11 +346,25 @@ def utilization_gap(node: Node, pct_by_request: Mapping[str, UtilizationVector])
     return max(abs(recorded[i] - sums[i]) for i in range(3))
 
 
+# The most characters of an outside value that a refusal repeats.
+_ECHO_CHARS = 1000
+
+
+def echo(value: object) -> str:
+    """repr(value) for a refusal message: at most its first 1,000
+    characters, followed by how many were cut."""
+
+    text = repr(value)
+    if len(text) <= _ECHO_CHARS:
+        return text
+    return f"{text[:_ECHO_CHARS]}... ({len(text) - _ECHO_CHARS} more characters)"
+
+
 def validate_unique_ids(items: Iterable[str], what: str) -> None:
     """Raise ValidationError if the iterable yields a repeated id."""
 
     seen: Dict[str, None] = {}
     for item in items:
         if item in seen:
-            raise ValidationError(f"duplicate {what} id {item!r}")
+            raise ValidationError(f"duplicate {what} id {echo(item)}")
         seen[item] = None

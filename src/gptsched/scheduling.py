@@ -78,6 +78,7 @@ from .model import (
     Threshold,
     UtilizationVector,
     ValidationError,
+    echo,
     trusted,
     validate_unique_ids,
 )
@@ -692,7 +693,7 @@ def _schedule(
         validate_unique_ids((r.id for r in queue), "request")
     for request in queue:
         if request.id in state.held:
-            raise ValidationError(f"request {request.id!r} is already allocated on a node")
+            raise ValidationError(f"request {echo(request.id)} is already allocated on a node")
     # Requests with their demands, by descending compute demand, ties by id.
     placements = [(r, estimate_demand(r, coeffs)) for r in queue]
     if len(placements) > 1:

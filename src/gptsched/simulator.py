@@ -11,7 +11,9 @@ total power is integrated exactly over the piecewise-constant segments
 between events and reported as energy_wh. Node values are built only for
 the final report and for on_event, which gets the state itself as a live
 read-only Sequence[Node]; the run's outcome is derived from its decision
-trace.
+trace. Neither function prints or logs: what a run did is in its result,
+and each node removal is a SCALE_CHECK event, passed to on_event as it
+happens.
 
 Event ordering at equal times is departure, then arrival, then snapshot,
 then scale-down check, with ties inside a kind broken by ascending
@@ -23,14 +25,13 @@ integral stop there.
 from __future__ import annotations
 
 import heapq
-import logging
 import math
 from dataclasses import dataclass
 from enum import Enum
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from .metrics import Report, build_report
-from .model import ConfigError, GptRequest, Node, ValidationError, trusted, validate_unique_ids
+from .model import ConfigError, GptRequest, Node, ValidationError, echo, trusted, validate_unique_ids
 from .model import release_from_node  # noqa: F401  re-exported; the timeline uses ClusterState
 from .power import node_power, total_power  # noqa: F401  re-exported, likewise
 from .profiler import DEFAULT_COEFFICIENTS, ProfilerCoefficients
@@ -42,8 +43,6 @@ from .scheduling import (
     NodeIdSequence,
     SchedulerConfig,
 )
-
-logger = logging.getLogger(__name__)
 
 
 class EventKind(str, Enum):
@@ -150,15 +149,7 @@ def run_batch(
     """
 
     outcome = _scheduler(algorithm_id)(workload, nodes, config, coeffs=coeffs)
-    report = build_report(outcome, nodes, config.power_policy)
-    logger.info(
-        "batch %s: %d requests, %d unallocated, %d nodes",
-        algorithm_id,
-        report.request_count,
-        report.unallocated_count,
-        report.node_count,
-    )
-    return outcome, report
+    return outcome, build_report(outcome, nodes, config.power_policy)
 
 
 def _deadline_misses(workload: Sequence[GptRequest], unallocated: Sequence[str]) -> int:
@@ -221,10 +212,10 @@ def run_timeline(
     last_departure = 0.0
     for request in workload:
         if request.arrival_s is None or request.duration_s is None:
-            raise ValidationError(f"request {request.id!r} lacks arrival_s/duration_s")
+            raise ValidationError(f"request {echo(request.id)} lacks arrival_s/duration_s")
         departure = request.arrival_s + request.duration_s
         if not math.isfinite(departure):
-            raise ValidationError(f"request {request.id!r} departs at a non-finite time")
+            raise ValidationError(f"request {echo(request.id)} departs at a non-finite time")
         last_departure = max(last_departure, departure)
     # No event, so no grid point, comes after the last departure plus
     # the scale-down grace.
@@ -276,17 +267,15 @@ def run_timeline(
     while heap:
         time_s, rank, key, armed_at = heap[0]
         # A scale check is decided at the heap top, where every earlier
-        # mutation has been applied. One that removes nothing is not
-        # activity: drop it before the snapshot grid runs ahead of the real
-        # horizon.
-        if rank == _SCALE_CHECK:
-            if empty_since.get(key) != armed_at:  # the node was reused or removed since arming
-                heapq.heappop(heap)
-                continue
-            if len(state) - 1 < adaptor.retain_min_nodes:
-                logger.debug("scale-down of %s blocked by retain_min_nodes", key)
-                heapq.heappop(heap)
-                continue
+        # mutation has been applied. One that removes nothing (the node was
+        # reused or removed since arming, or retain_min_nodes keeps it) is
+        # not activity: drop it before the snapshot grid runs ahead of the
+        # real horizon.
+        if rank == _SCALE_CHECK and (
+            empty_since.get(key) != armed_at or len(state) - 1 < adaptor.retain_min_nodes
+        ):
+            heapq.heappop(heap)
+            continue
         snap_time = snap_index * interval
         if snap_time < time_s or (snap_time == time_s and rank > _SNAPSHOT):
             snapshot(snap_time)
@@ -313,7 +302,6 @@ def run_timeline(
         else:
             del empty_since[key]
             state.remove(key)
-            logger.info("scaled down node %s at t=%.3f", key, time_s)
             event = _new_event(time_s, EventKind.SCALE_CHECK, None, key)
         horizon = time_s
         watts = sum(power)

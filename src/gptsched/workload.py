@@ -38,6 +38,7 @@ from .model import (
     ResourceVector,
     TaskKind,
     ValidationError,
+    echo,
     plain_request_values,
     trusted,
 )
@@ -244,20 +245,6 @@ def request_to_dict(request: GptRequest) -> Dict[str, object]:
     if request.deadline_s is not None:
         record["deadline_s"] = request.deadline_s
     return record
-
-
-# The most characters of an outside value that a refusal repeats.
-_ECHO_CHARS = 1000
-
-
-def echo(value: object) -> str:
-    """repr(value) for a refusal message: at most its first 1,000
-    characters, followed by how many were cut."""
-
-    text = repr(value)
-    if len(text) <= _ECHO_CHARS:
-        return text
-    return f"{text[:_ECHO_CHARS]}... ({len(text) - _ECHO_CHARS} more characters)"
 
 
 def read_number(value: object) -> float:

@@ -9,7 +9,9 @@ import sys
 
 import pytest
 
+from gptsched import cli
 from gptsched.cli import main
+from gptsched.simulator import run_timeline
 
 RESIDENT_CONFIG = {
     "cluster": [
@@ -545,3 +547,92 @@ def test_disabled_autoscale_section_is_still_validated(tmp_path, capsys, pct_tra
     ]) == 2
     assert capsys.readouterr().err.startswith("gptsched: autoscale.capacity: ")
     assert not (tmp_path / "out.json").exists()
+
+
+def _set_log_level(monkeypatch, level) -> None:
+    if level is None:
+        monkeypatch.delenv("GPTSCHED_LOG", raising=False)
+    else:
+        monkeypatch.setenv("GPTSCHED_LOG", level)
+
+
+@pytest.mark.parametrize(
+    "timing", [{}, {"arrival_s": 1e308, "duration_s": 1e308}], ids=["untimed", "overflow"]
+)
+def test_simulate_echoes_a_huge_refused_id_in_bounded_length(tmp_path, capsys, timing) -> None:
+    trace = tmp_path / "trace.jsonl"
+    line = {**json.loads(TWENTY_PCT_LINE), "id": "x" * 1_000_000, **timing}
+    trace.write_text(json.dumps(line) + "\n", encoding="utf-8")
+    assert main([
+        "simulate", "--workload", str(trace), "--algorithm", "max-util", "--out", str(tmp_path / "sim"),
+    ]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and len(err) < 1100
+    assert f"... ({1_000_002 - 1000} more characters)" in err
+
+
+@pytest.mark.parametrize("levels", [(None, "info"), ("info", None)])
+def test_every_main_call_reads_the_log_level(tmp_path, monkeypatch, capsys, levels) -> None:
+    out = tmp_path / "t.jsonl"
+    for level in levels:
+        _set_log_level(monkeypatch, level)
+        assert main(["gen", "--count", "2", "--seed", "1", "--out", str(out)]) == 0
+        expected = "" if level is None else f"INFO gptsched: wrote 2 requests to {out}\n"
+        assert capsys.readouterr().err == expected
+
+
+def test_compare_notes_each_batch_then_the_table(tmp_path, monkeypatch, capsys) -> None:
+    trace = tmp_path / "timed.jsonl"
+    trace.write_text(TIMED_TRACE, encoding="utf-8")
+    out = tmp_path / "cmp.csv"
+    argv = ["compare", "--workload", str(trace), "--out", str(out)]
+    _set_log_level(monkeypatch, None)
+    assert main(argv) == 0
+    assert capsys.readouterr().err == ""
+    _set_log_level(monkeypatch, "info")
+    assert main(argv) == 0
+    assert capsys.readouterr().err.splitlines() == [
+        "INFO gptsched: batch max-util: 2 requests, 0 unallocated, 4 nodes",
+        "INFO gptsched: batch load-balance: 2 requests, 0 unallocated, 4 nodes",
+        "INFO gptsched: batch power: 2 requests, 0 unallocated, 4 nodes",
+        f"INFO gptsched: compare: wrote {out}",
+    ]
+
+
+@pytest.mark.parametrize(
+    "level, retain, removed",
+    [
+        (None, 1, []),
+        ("info", 1, ["node-1 at t=70.000", "node-2 at t=100.000"]),
+        # retain_min_nodes blocks the check on node-2: that is no event, and prints nothing.
+        ("debug", 3, ["node-1 at t=70.000"]),
+    ],
+)
+def test_simulate_notes_each_removal_before_its_summary(
+    tmp_path, monkeypatch, capsys, level, retain, removed
+) -> None:
+    trace = tmp_path / "timed.jsonl"
+    trace.write_text(TIMED_TRACE, encoding="utf-8")
+    config = tmp_path / "config.json"
+    adaptor = {"scale_down_grace_s": 10, "retain_min_nodes": retain}
+    config.write_text(json.dumps({"cluster": [{"count": 4}], "adaptor": adaptor}), encoding="utf-8")
+    out_dir = tmp_path / "sim"
+    _set_log_level(monkeypatch, level)
+    callbacks = []
+
+    def recording_run_timeline(*args, **kwargs):
+        callbacks.append(kwargs["on_event"])
+        return run_timeline(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "run_timeline", recording_run_timeline)
+    assert main([
+        "simulate", "--workload", str(trace), "--config", str(config), "--algorithm", "load-balance",
+        "--snapshot-interval", "30", "--out", str(out_dir),
+    ]) == 0
+    err = capsys.readouterr().err
+    if level is None:  # the default run makes no call per event
+        assert err == "" and callbacks == [None]
+        return
+    assert err.splitlines() == [f"INFO gptsched: scaled down node {node}" for node in removed] + [
+        f"INFO gptsched: simulate load-balance: 15 snapshots, 3.361333 Wh, wrote {out_dir}"
+    ]

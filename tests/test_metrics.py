@@ -142,7 +142,10 @@ def test_build_report_integrity_checks() -> None:
 
 def test_cli_import_loads_no_statistics_fractions_or_decimal() -> None:
     src = Path(__file__).resolve().parent.parent / "src"
-    probe = "import sys, gptsched.cli; print(sorted({'statistics', 'fractions', 'decimal'} & set(sys.modules)))"
+    probe = (
+        "import sys, gptsched.cli; "
+        "print(sorted({'statistics', 'fractions', 'decimal', 'logging'} & set(sys.modules)))"
+    )
     proc = subprocess.run(
         [sys.executable, "-c", probe], capture_output=True, text=True, env={"PYTHONPATH": str(src)}
     )
