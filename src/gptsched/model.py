@@ -235,7 +235,7 @@ class GptRequest:
                                 self.arrival_s, self.duration_s, self.deadline_s):
             return
         if not isinstance(self.task_kind, TaskKind):
-            raise ValidationError(f"task_kind must be a TaskKind, got {self.task_kind!r}")
+            raise ValidationError(f"task_kind must be a TaskKind, got {echo(self.task_kind)}")
         object.__setattr__(
             self, "model_params_b", _require_non_negative("model_params_b", self.model_params_b)
         )
@@ -297,7 +297,7 @@ def allocate_to_node(node: Node, request_id: str, pct: UtilizationVector) -> Nod
     """
 
     if request_id in node.allocated:
-        raise DuplicateAllocationError(f"request {request_id!r} already allocated on {node.id!r}")
+        raise DuplicateAllocationError(f"request {echo(request_id)} already allocated on {echo(node.id)}")
     util = UtilizationVector(
         compute=node.utilization.compute + pct.compute,
         memory=node.utilization.memory + pct.memory,
@@ -315,7 +315,7 @@ def release_from_node(node: Node, request_id: str, pct: UtilizationVector) -> No
     """
 
     if request_id not in node.allocated:
-        raise NotAllocatedError(f"request {request_id!r} not allocated on {node.id!r}")
+        raise NotAllocatedError(f"request {echo(request_id)} not allocated on {echo(node.id)}")
     remaining = node.allocated - {request_id}
     if not remaining:
         util = ZERO_UTILIZATION

@@ -18,7 +18,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, fields
 
-from .model import GptRequest, GptSchedError, ResourceVector, ValidationError, plain_amounts, trusted
+from .model import GptRequest, GptSchedError, ResourceVector, ValidationError, echo, plain_amounts, trusted
 
 
 class UnprofilableRequestError(GptSchedError):
@@ -59,7 +59,7 @@ def estimate_demand(
         return request.explicit_demand
     if request.model_params_b <= 0.0:
         raise UnprofilableRequestError(
-            f"request {request.id!r} has no explicit demand and no model size"
+            f"request {echo(request.id)} has no explicit demand and no model size"
         )
     params = request.model_params_b
     total_tokens = request.prompt_tokens + request.output_tokens

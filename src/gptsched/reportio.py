@@ -49,10 +49,8 @@ import io
 import math
 import os
 from contextlib import contextmanager
-from dataclasses import fields
 from itertools import accumulate, count
 from json.encoder import encode_basestring
-from operator import attrgetter
 from pathlib import Path
 from typing import IO, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple, Union
 
@@ -77,8 +75,7 @@ REPORT_CSV_COLUMNS = (
     "energy_wh",
 )
 
-SNAPSHOT_CSV_COLUMNS = tuple(field.name for field in fields(SnapshotRow))
-_snapshot_cells = attrgetter(*SNAPSHOT_CSV_COLUMNS)
+SNAPSHOT_CSV_COLUMNS = SnapshotRow._fields
 
 COMPARISON_COLUMNS = (
     "algorithm",
@@ -346,9 +343,9 @@ def write_report(
     """
 
     if not isinstance(payload, Report):
-        rows = map(_snapshot_cells, payload)
+        rows: Iterable[Sequence[object]] = payload  # each SnapshotRow is its cells
         if fmt == "json":  # every value but node_id as a float
-            rows = ((float(time_s), node_id, *map(float, rest)) for time_s, node_id, *rest in rows)
+            rows = ((float(time_s), node_id, *map(float, rest)) for time_s, node_id, *rest in payload)
         _write_table(SNAPSHOT_CSV_COLUMNS, rows, fmt, sink)
         return
     doc: Dict[str, object] = {} if algorithm is None else {"algorithm": algorithm}

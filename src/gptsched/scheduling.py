@@ -412,7 +412,7 @@ class ClusterState(Sequence[Node]):
         i = self.index[node_id]
         alloc = self.alloc[i]
         if request_id not in alloc:
-            raise NotAllocatedError(f"request {request_id!r} not allocated on {node_id!r}")
+            raise NotAllocatedError(f"request {echo(request_id)} not allocated on {echo(node_id)}")
         alloc.remove(request_id)
         self.held.discard(request_id)
         old_uc = self.uc[i]

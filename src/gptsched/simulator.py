@@ -6,14 +6,16 @@ over one scheduling.ClusterState. Each arrival schedules that single
 request into the state, each departure releases its percentages in place
 (reading its node and percentages from the request's decision record),
 and the resource adaptor deletes nodes that stay empty past a grace
-period. Snapshots read the state's per-node arrays on a fixed grid, and
-total power is integrated exactly over the piecewise-constant segments
-between events and reported as energy_wh. Node values are built only for
-the final report and for on_event, which gets the state itself as a live
-read-only Sequence[Node]; the run's outcome is derived from its decision
-trace. Neither function prints or logs: what a run did is in its result,
-and each node removal is a SCALE_CHECK event, passed to on_event as it
-happens.
+period. Snapshots read the state's per-node arrays on a fixed grid into
+SnapshotRow tuples, which are the snapshots table's cells as written.
+Each request's deadline miss is counted at its arrival, where its fate is
+known. Total power is recorded as piecewise-constant steps between
+events; once the loop ends, their integral up to the horizon is reported
+as energy_wh. Node values are built only for the final report and for
+on_event, which gets the state itself as a live read-only Sequence[Node];
+the run's outcome is derived from its decision trace. Neither function
+prints or logs: what a run did is in its result, and each node removal is
+a SCALE_CHECK event, passed to on_event as it happens.
 
 Event ordering at equal times is departure, then arrival, then snapshot,
 then scale-down check, with ties inside a kind broken by ascending
@@ -28,7 +30,7 @@ import heapq
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from .metrics import Report, build_report
 from .model import ConfigError, GptRequest, Node, ValidationError, echo, trusted, validate_unique_ids
@@ -99,9 +101,9 @@ class AdaptorPolicy:
             raise ValidationError(f"retain_min_nodes must be an int >= 0, got {self.retain_min_nodes!r}")
 
 
-@dataclass(frozen=True)
-class SnapshotRow:
-    """Per-node utilization and power at one snapshot instant."""
+class SnapshotRow(NamedTuple):
+    """Per-node utilization and power at one snapshot instant; the tuple is
+    the row's snapshots-table cells in column order."""
 
     time_s: float
     node_id: str
@@ -130,7 +132,7 @@ class TimelineResult:
 def _scheduler(algorithm_id: str) -> Callable[..., AllocationOutcome]:
     scheduler = ALGORITHMS.get(algorithm_id)
     if scheduler is None:
-        raise ConfigError(f"unknown algorithm {algorithm_id!r}; choose from {sorted(ALGORITHMS)}")
+        raise ConfigError(f"unknown algorithm {echo(algorithm_id)}; choose from {sorted(ALGORITHMS)}")
     return scheduler
 
 
@@ -150,35 +152,6 @@ def run_batch(
 
     outcome = _scheduler(algorithm_id)(workload, nodes, config, coeffs=coeffs)
     return outcome, build_report(outcome, nodes, config.power_policy)
-
-
-def _deadline_misses(workload: Sequence[GptRequest], unallocated: Sequence[str]) -> int:
-    """Allocated requests miss when duration exceeds deadline; rejected
-    requests with a deadline never complete and always miss."""
-
-    rejected = set(unallocated)
-    misses = 0
-    for request in workload:
-        if request.deadline_s is None:
-            continue
-        if request.id in rejected or request.duration_s > request.deadline_s:
-            misses += 1
-    return misses
-
-
-def _energy_wh(steps: Sequence[Tuple[float, float]], horizon: Optional[float]) -> float:
-    """The integral of the power steps over [0, horizon], in watt-hours."""
-
-    if horizon is None:
-        return 0.0
-    watt_seconds = 0.0
-    # Each step lasts until the next one starts, the last until the horizon.
-    ends = [start for start, _ in steps[1:]] + [horizon]
-    for (start, watts), end in zip(steps, ends):
-        if start >= horizon:
-            break
-        watt_seconds += watts * (min(end, horizon) - start)
-    return watt_seconds / 3600.0
 
 
 def run_timeline(
@@ -229,7 +202,7 @@ def run_timeline(
     for node in initial_nodes:
         if node.allocated:
             raise ValidationError(
-                f"timeline initial node {node.id!r} must start empty; "
+                f"timeline initial node {echo(node.id)} must start empty; "
                 "pre-existing allocations have no departure times"
             )
 
@@ -250,6 +223,8 @@ def run_timeline(
     # After each event, the total of the draws, summed as total_power sums them.
     steps = [(0.0, sum(power))]
     horizon: Optional[float] = None
+    deadline_misses = 0
+    energy_wh = 0.0
 
     emit: Callable[[SimEvent], None] = events.append
     if on_event is not None:
@@ -291,6 +266,10 @@ def run_timeline(
                 live[key] = record
                 empty_since.pop(node_id, None)
                 heapq.heappush(heap, (time_s + request.duration_s, _DEPARTURE, key, 0.0))
+            # A rejected request with a deadline never completes, so it misses.
+            deadline = request.deadline_s
+            if deadline is not None and (node_id is None or request.duration_s > deadline):
+                deadline_misses += 1
             event = _new_event(time_s, EventKind.ARRIVAL, key, None)
         elif rank == _DEPARTURE:
             record = live.pop(key)
@@ -314,14 +293,20 @@ def run_timeline(
         while snap_index * interval <= horizon:
             snapshot(snap_index * interval)
             snap_index += 1
+        # Each step lasts until the next one starts, the last until the horizon.
+        # Added in step order: sum() compensates float sums from Python 3.12.
+        watt_seconds = 0.0
+        for (start, watts), (end, _) in zip(steps, steps[1:] + [(horizon, 0.0)]):
+            watt_seconds += watts * (end - start)
+        energy_wh = watt_seconds / 3600.0
 
     outcome = AllocationOutcome.from_trace(trace)
     report = build_report(
         outcome,
         list(state),
         config.power_policy,
-        deadline_misses=_deadline_misses(workload, outcome.unallocated),
-        energy_wh=_energy_wh(steps, horizon),
+        deadline_misses=deadline_misses,
+        energy_wh=energy_wh,
         require_allocation_targets=False,
     )
     return TimelineResult(

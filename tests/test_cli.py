@@ -549,6 +549,30 @@ def test_disabled_autoscale_section_is_still_validated(tmp_path, capsys, pct_tra
     assert not (tmp_path / "out.json").exists()
 
 
+def test_autoscale_on_over_a_disabled_section_provisions_from_the_first_group(
+    tmp_path, pct_trace
+) -> None:
+    # Both initial nodes are too full for the request; the disabled section's
+    # own template (250 compute units, 50-60 W) is not the one used.
+    resident = {"compute": 0.7, "memory": 0.7, "storage": 0.7}
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({
+        "cluster": [
+            {"count": 1, "resident_utilization": resident},
+            {"count": 1, "capacity": {"compute": 2000}, "resident_utilization": resident},
+        ],
+        "autoscale": {"enabled": False, "capacity": {"compute": 250}, "p_idle_w": 50, "p_max_w": 60},
+    }), encoding="utf-8")
+    common = ["schedule", "--workload", pct_trace, "--config", str(config), "--algorithm", "max-util"]
+    assert main([*common, "--out", str(tmp_path / "off.json")]) == 3
+    assert main([*common, "--autoscale", "on", "--out", str(tmp_path / "on.json")]) == 0
+    document = json.loads((tmp_path / "on.json").read_text(encoding="utf-8"))
+    assert document["outcome"]["created_node_ids"] == ["auto-1"]
+    # 200 of the first group's 1000 compute units, at 100 + 300 x 0.2 W.
+    assert document["outcome"]["trace"][0]["pct"]["compute"] == 0.2
+    assert document["report"]["total_power_w"] == 160 + 2 * (100 + 300 * 0.7)
+
+
 def _set_log_level(monkeypatch, level) -> None:
     if level is None:
         monkeypatch.delenv("GPTSCHED_LOG", raising=False)

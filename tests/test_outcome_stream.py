@@ -121,6 +121,22 @@ def _power_outcome():
     return _run("power", node_specs, request_specs)
 
 
+@pytest.mark.parametrize("write_slice", [1, 7, 64])
+def test_text_between_scanned_views_is_flushed_at_the_write_slice(monkeypatch, write_slice) -> None:
+    # Records with no scanned view gather in one pending text, which leaves
+    # once it reaches the write slice; a view flushes it before that.
+    monkeypatch.setattr(reportio, "_WRITE_SLICE", write_slice)
+    nodes = [node(f"node-{i}", template(), util=(0.1 * (i % 5), 0.0, 0.0)) for i in range(8)]
+    queue = [request(f"r{j:02d}", 7.5, 1.0, 1.0) for j in range(40)]
+    config = SchedulerConfig(threshold=Threshold(0.8), autoscale_template=template(), record_scans=False)
+    bare, bare_report = run_batch(queue, nodes, "max-util", config)
+    assert all(record.scanned == () for record in bare.trace)
+    for algorithm, (outcome, report) in (("max-util", (bare, bare_report)), ("power", _power_outcome())):
+        expected = _expected(algorithm, outcome, report).encode("utf-8")
+        text, data = _written(algorithm, outcome, report)
+        assert text.encode("utf-8") == data == expected
+
+
 def _previous_output(tmp_path: Path) -> Path:
     path = tmp_path / "out.json"
     path.write_bytes(b"previous output\n")

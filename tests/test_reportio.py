@@ -172,6 +172,17 @@ def test_snapshot_csv_and_empty_header_only() -> None:
     assert empty.getvalue() == ",".join(SNAPSHOT_CSV_COLUMNS) + "\n"
 
 
+def test_a_snapshot_row_is_its_table_cells() -> None:
+    row = SnapshotRow(50.0, "node-1", 0.4, 0.2, 0.1, 140.0)
+    assert SnapshotRow._fields == SNAPSHOT_CSV_COLUMNS
+    assert tuple(row) == (50.0, "node-1", 0.4, 0.2, 0.1, 140.0)
+    assert tuple(row) == tuple(getattr(row, column) for column in SNAPSHOT_CSV_COLUMNS)
+    assert repr(row) == (
+        "SnapshotRow(time_s=50.0, node_id='node-1', compute_util=0.4, "
+        "memory_util=0.2, storage_util=0.1, power_w=140.0)"
+    )
+
+
 def test_snapshot_json_round_trip() -> None:
     rows = [SnapshotRow(0.0, "node-1", 0.4, 0.2, 0.1, 140.0)]
     buffer = io.StringIO()
