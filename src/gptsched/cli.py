@@ -26,7 +26,7 @@ from .config import ExperimentConfig, default_config, load_cluster_config
 from .metrics import Report
 from .model import GptRequest, GptSchedError, Node, Threshold, echo
 from .reportio import write_comparison, write_outcome_document, write_report
-from .scheduling import ALGORITHMS, AllocationOutcome
+from .scheduling import ALGORITHMS, AllocationOutcome, ClusterState
 from .simulator import EventKind, SimEvent, run_batch, run_timeline
 from .workload import generate_synthetic, load_trace, write_trace
 
@@ -121,9 +121,8 @@ def cmd_gen(args: argparse.Namespace) -> int:
 def _run_batch(
     args: argparse.Namespace, config: ExperimentConfig, workload: Sequence[GptRequest], name: str
 ) -> Tuple[AllocationOutcome, Report]:
-    outcome, report = run_batch(
-        workload, config.fresh_nodes(), name, config.scheduler, coeffs=config.coefficients
-    )
+    state = ClusterState(config.initial_nodes, config.power_policy)
+    outcome, report = run_batch(workload, state, name, config.scheduler, coeffs=config.coefficients)
     _note(
         args,
         f"batch {name}: {report.request_count} requests, "

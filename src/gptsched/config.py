@@ -94,11 +94,6 @@ class ExperimentConfig:
     def threshold(self) -> Threshold:
         return self.scheduler.threshold
 
-    def fresh_nodes(self) -> List[Node]:
-        """A new mutable copy of the initial cluster for one run."""
-
-        return list(self.initial_nodes)
-
 
 # A reader turns one set JSON value, found at a path, into its parsed form.
 # A ValidationError it raises is reported under that path. A nested object's

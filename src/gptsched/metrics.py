@@ -10,7 +10,9 @@ k counts every provisioned node, including empty ones and nodes created by
 autoscaling, so consolidation is rewarded only when idle nodes are actually
 retired. Each mean is the exact sum (math.fsum) divided by k, and the
 stddev is the correctly rounded square root of the exact population
-variance, so both are the same float on every interpreter.
+variance, so both are the same float on every interpreter. Each metric
+reads a scheduling.ClusterState's per-node columns; a Node sequence is
+converted to one first, so a repeated node id is refused.
 """
 
 from __future__ import annotations
@@ -20,8 +22,8 @@ from dataclasses import dataclass
 from typing import List, Optional, Sequence
 
 from .model import GptSchedError, Node, UtilizationVector
-from .power import DEFAULT_POWER_POLICY, PowerPolicy, total_power
-from .scheduling import AllocationOutcome
+from .power import DEFAULT_POWER_POLICY, PowerPolicy
+from .scheduling import AllocationOutcome, ClusterState
 
 
 class UndefinedMetricError(GptSchedError):
@@ -52,6 +54,14 @@ class Report:
     energy_wh: Optional[float] = None
 
 
+def _columns(nodes: Sequence[Node], policy: PowerPolicy = DEFAULT_POWER_POLICY, undefined: str = "") -> ClusterState:
+    """A state as it is, a Node sequence converted; zero nodes raise undefined, when set."""
+
+    if undefined and not nodes:
+        raise UndefinedMetricError(undefined)
+    return nodes if isinstance(nodes, ClusterState) else ClusterState(nodes, policy)
+
+
 def _mean(values: List[float]) -> float:
     return math.fsum(values) / len(values)
 
@@ -59,9 +69,7 @@ def _mean(values: List[float]) -> float:
 def mean_compute_utilization(nodes: Sequence[Node]) -> float:
     """Mean compute utilization over all nodes. Undefined for no nodes."""
 
-    if not nodes:
-        raise UndefinedMetricError("mean utilization is undefined over zero nodes")
-    return _mean([node.utilization.compute for node in nodes])
+    return _mean(_columns(nodes, undefined="mean utilization is undefined over zero nodes").uc)
 
 
 # Bits of the integer root before the one rounding to a float: two float
@@ -80,9 +88,8 @@ def utilization_stddev(nodes: Sequence[Node]) -> float:
     (https://bugs.python.org/msg407078).
     """
 
-    if not nodes:
-        raise UndefinedMetricError("utilization stddev is undefined over zero nodes")
-    ratios = [node.utilization.compute.as_integer_ratio() for node in nodes]
+    uc = _columns(nodes, undefined="utilization stddev is undefined over zero nodes").uc
+    ratios = [u.as_integer_ratio() for u in uc]
     scale = max(d for _, d in ratios)  # every d is a power of two
     scaled = [n * (scale // d) for n, d in ratios]
     count, total = len(scaled), sum(scaled)
@@ -105,13 +112,8 @@ def utilization_stddev(nodes: Sequence[Node]) -> float:
 def per_resource_mean_utilization(nodes: Sequence[Node]) -> UtilizationVector:
     """Mean utilization per axis over all nodes. Undefined for no nodes."""
 
-    if not nodes:
-        raise UndefinedMetricError("per-resource means are undefined over zero nodes")
-    return UtilizationVector(
-        compute=_mean([node.utilization.compute for node in nodes]),
-        memory=_mean([node.utilization.memory for node in nodes]),
-        storage=_mean([node.utilization.storage for node in nodes]),
-    )
+    state = _columns(nodes, undefined="per-resource means are undefined over zero nodes")
+    return UtilizationVector(compute=_mean(state.uc), memory=_mean(state.um), storage=_mean(state.us))
 
 
 def build_report(
@@ -124,8 +126,9 @@ def build_report(
 ) -> Report:
     """Assemble a Report from an outcome and the resulting cluster state.
 
-    With no nodes at all the utilization metrics are reported as zero
-    rather than undefined, so a fully scaled-down cluster still reports.
+    A state priced under a policy other than policy is refused. With no
+    nodes at all the utilization metrics are reported as zero rather than
+    undefined, so a fully scaled-down cluster still reports.
 
     Integrity checks, raising IntegrityError on contradiction: a request id
     may not be both allocated and unallocated, and allocation targets must
@@ -137,24 +140,21 @@ def build_report(
     overlap = set(outcome.allocation) & set(outcome.unallocated)
     if overlap:
         raise IntegrityError(f"requests both allocated and unallocated: {sorted(overlap)}")
-    node_ids = {node.id for node in nodes}
+    state = _columns(nodes, policy)
+    state.check_policy(policy)
     if require_allocation_targets:
-        missing = {nid for nid in outcome.allocation.values() if nid not in node_ids}
+        missing = {nid for nid in outcome.allocation.values() if nid not in state.index}
         if missing:
             raise IntegrityError(f"allocation targets not in cluster: {sorted(missing)}")
 
-    if nodes:
-        stddev = utilization_stddev(nodes)
-        per_resource = per_resource_mean_utilization(nodes)
-    else:
-        stddev = 0.0
-        per_resource = UtilizationVector(0.0, 0.0, 0.0)
+    stddev = utilization_stddev(state) if state else 0.0
+    per_resource = per_resource_mean_utilization(state) if state else UtilizationVector(0.0, 0.0, 0.0)
 
     return Report(
         mean_compute_utilization=per_resource.compute,
         utilization_stddev=stddev,
-        total_power_w=total_power(nodes, policy),
-        node_count=len(nodes),
+        total_power_w=sum(state.power),
+        node_count=len(state),
         created_node_count=len(outcome.created_node_ids),
         request_count=len(outcome.allocation) + len(outcome.unallocated),
         unallocated_count=len(outcome.unallocated),

@@ -33,8 +33,8 @@ request is rejected with a reason string.
 Placement works on a ClusterState, the one mutable cluster state. A
 passed node list is converted on entry and updated in place once at the
 end (entries replaced with their post-allocation values, created nodes
-appended) so callers observe the resulting cluster state; the timeline
-passes its own ClusterState, which is placed into directly.
+appended) so callers observe the resulting cluster state; the CLI and
+the timeline place into their own ClusterState and report from its columns.
 
 The state keeps the scan orders that calls read live: by node id, and
 by compute utilization in each first-fit direction. Each is sorted once,
@@ -260,7 +260,7 @@ class ClusterState(Sequence[Node]):
     expression under the state's policy, repriced wherever utilization or
     emptiness changes) and the set of every held request id. Schedulers
     place into it directly; the timeline also releases and removes in
-    place.
+    place, and metrics.build_report reads the columns as they are.
 
     It also keeps the scan orders that calls read live: id_order() and
     util_order(descending) are sorted once, on first use, then every
@@ -323,6 +323,12 @@ class ClusterState(Sequence[Node]):
             utilization=_new_pct(self.uc[i], self.um[i], self.us[i]),
             allocated=frozenset(self.alloc[i]),
         )
+
+    def check_policy(self, policy: PowerPolicy) -> None:
+        """Refuse a policy that differs from the one the state is priced with."""
+
+        if self.policy is not policy and self.policy != policy:
+            raise ValidationError(f"cluster state is priced with {self.policy!r}, the config with {policy!r}")
 
     def _price(self, i: int) -> None:
         if self.policy.off_when_empty and not self.alloc[i]:
@@ -685,10 +691,7 @@ def _schedule(
     """
 
     state = nodes if isinstance(nodes, ClusterState) else ClusterState(nodes, config.power_policy)
-    if state.policy is not config.power_policy and state.policy != config.power_policy:
-        raise ValidationError(
-            f"cluster state is priced with {state.policy!r}, the config with {config.power_policy!r}"
-        )
+    state.check_policy(config.power_policy)
     if len(queue) > 1:  # one request has no id to repeat and no order to sort
         validate_unique_ids((r.id for r in queue), "request")
     for request in queue:

@@ -11,11 +11,11 @@ SnapshotRow tuples, which are the snapshots table's cells as written.
 Each request's deadline miss is counted at its arrival, where its fate is
 known. Total power is recorded as piecewise-constant steps between
 events; once the loop ends, their integral up to the horizon is reported
-as energy_wh. Node values are built only for the final report and for
-on_event, which gets the state itself as a live read-only Sequence[Node];
-the run's outcome is derived from its decision trace. Neither function
-prints or logs: what a run did is in its result, and each node removal is
-a SCALE_CHECK event, passed to on_event as it happens.
+as energy_wh. The final report reads the state's columns: Node values are
+built only for on_event, which gets the state itself as a live read-only
+Sequence[Node]. The run's outcome is derived from its decision trace.
+Neither function prints or logs: what a run did is in its result, and
+each node removal is a SCALE_CHECK event, passed to on_event as it happens.
 
 Event ordering at equal times is departure, then arrival, then snapshot,
 then scale-down check, with ties inside a kind broken by ascending
@@ -30,7 +30,7 @@ import heapq
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple, Union
 
 from .metrics import Report, build_report
 from .model import ConfigError, GptRequest, Node, ValidationError, echo, trusted, validate_unique_ids
@@ -138,7 +138,7 @@ def _scheduler(algorithm_id: str) -> Callable[..., AllocationOutcome]:
 
 def run_batch(
     workload: Sequence[GptRequest],
-    nodes: List[Node],
+    nodes: Union[List[Node], ClusterState],
     algorithm_id: str,
     config: SchedulerConfig,
     *,
@@ -146,8 +146,8 @@ def run_batch(
 ) -> Tuple[AllocationOutcome, Report]:
     """Run one scheduler over the whole workload and report.
 
-    nodes is mutated in place to the post-run cluster state. Raises
-    ConfigError for an unknown algorithm_id.
+    nodes, a ClusterState or a node list, is mutated in place to the
+    post-run cluster. Raises ConfigError for an unknown algorithm_id.
     """
 
     outcome = _scheduler(algorithm_id)(workload, nodes, config, coeffs=coeffs)
@@ -303,7 +303,7 @@ def run_timeline(
     outcome = AllocationOutcome.from_trace(trace)
     report = build_report(
         outcome,
-        list(state),
+        state,
         config.power_policy,
         deadline_misses=deadline_misses,
         energy_wh=energy_wh,

@@ -118,7 +118,7 @@ def _seeded_default_runs() -> Dict[str, object]:
     for workload in workloads:
         entry: Dict[str, Tuple[float, float]] = {}
         for name, scheduler in (("max-util", schedule_max_util), ("load-balance", schedule_load_balance)):
-            nodes = config.fresh_nodes()
+            nodes = list(config.initial_nodes)
             scheduler(workload, nodes, config.scheduler)
             for n in nodes:
                 for axis in n.utilization.as_tuple():
@@ -314,7 +314,7 @@ def test_06_accounting_conservation() -> None:
         workload = generate_synthetic(replace(config.generator, seed=seed, request_count=200))
         demands = {r.id: estimate_demand(r) for r in workload}
         for scheduler in schedulers:
-            nodes = config.fresh_nodes()
+            nodes = list(config.initial_nodes)
             scheduler(workload, nodes, config.scheduler)
             worst = max(worst, _conservation_gap(nodes, demands))
     assert worst <= 1e-9, f"batch conservation gap {worst:.3e}"
@@ -337,7 +337,7 @@ def test_06_accounting_conservation() -> None:
         boundaries_before = boundaries
         run_timeline(
             timed,
-            config.fresh_nodes(),
+            list(config.initial_nodes),
             algorithm,
             config.scheduler,
             AdaptorPolicy(scale_down_grace_s=30.0, retain_min_nodes=0),

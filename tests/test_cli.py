@@ -11,6 +11,8 @@ import pytest
 
 from gptsched import cli
 from gptsched.cli import main
+from gptsched.model import Node
+from gptsched.scheduling import ClusterState
 from gptsched.simulator import run_timeline
 
 RESIDENT_CONFIG = {
@@ -660,3 +662,51 @@ def test_simulate_notes_each_removal_before_its_summary(
     assert err.splitlines() == [f"INFO gptsched: scaled down node {node}" for node in removed] + [
         f"INFO gptsched: simulate load-balance: 15 snapshots, 3.361333 Wh, wrote {out_dir}"
     ]
+
+
+@pytest.fixture(scope="module")
+def timed_trace(tmp_path_factory):
+    """3000 seed-11 requests with Poisson arrivals and lognormal durations."""
+
+    directory = tmp_path_factory.mktemp("timed")
+    config = directory / "gen.json"
+    generator = {"arrival_rate_per_s": 8, "duration": {"mu": 4, "sigma": 0.5}}
+    config.write_text(json.dumps({"generator": generator}), encoding="utf-8")
+    trace = directory / "trace.jsonl"
+    assert main(["gen", "--config", str(config), "--count", "3000", "--seed", "11", "--out", str(trace)]) == 0
+    return trace
+
+
+@pytest.mark.parametrize(
+    "argv, declared",
+    [
+        (["schedule", "--algorithm", "max-util", "--format", "csv"], 4),
+        (["schedule", "--algorithm", "power", "--format", "json"], 4),
+        (["compare"], 4),
+        (["simulate", "--algorithm", "load-balance", "--snapshot-interval", "600"], 100),
+    ],
+    ids=["schedule-csv", "schedule-json", "compare", "simulate"],
+)
+def test_cli_builds_only_the_configs_nodes(tmp_path, monkeypatch, timed_trace, argv, declared) -> None:
+    config = tmp_path / "config.json"
+    # A timeline keeps half its nodes past the run, so that its report has nodes to read.
+    document = {"cluster": [{"count": declared}], "adaptor": {"retain_min_nodes": declared // 2}}
+    config.write_text(json.dumps(document), encoding="utf-8")
+    counts = {"Node": 0, "_node": 0}
+    post_init, view = Node.__post_init__, ClusterState._node
+
+    def counting_post_init(self) -> None:
+        counts["Node"] += 1
+        post_init(self)
+
+    def counting_view(self, i):
+        counts["_node"] += 1
+        return view(self, i)
+
+    monkeypatch.setattr(Node, "__post_init__", counting_post_init)
+    monkeypatch.setattr(ClusterState, "_node", counting_view)
+    _set_log_level(monkeypatch, None)
+    out = tmp_path / ("sim" if argv[0] == "simulate" else "out")
+    code = main(argv + ["--workload", str(timed_trace), "--config", str(config), "--out", str(out)])
+    assert code in (0, 3)
+    assert counts == {"Node": declared, "_node": 0}

@@ -75,14 +75,6 @@ def test_resident_utilization_creates_resident_allocation() -> None:
     assert not n.is_empty
 
 
-def test_fresh_nodes_returns_new_list() -> None:
-    config = default_config()
-    a, b = config.fresh_nodes(), config.fresh_nodes()
-    assert a == b and a is not b
-    a.pop()
-    assert len(config.fresh_nodes()) == 4
-
-
 def test_autoscale_disabled_and_custom_template() -> None:
     assert _load({"autoscale": {"enabled": False}}).autoscale_template is None
     config = _load({"autoscale": {"capacity": {"compute": 250}, "p_idle_w": 10, "p_max_w": 20}})

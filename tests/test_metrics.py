@@ -18,12 +18,20 @@ from hypothesis import strategies as st
 from gptsched import (
     AllocationOutcome,
     IntegrityError,
+    PowerMode,
+    PowerPolicy,
+    ResourceVector,
+    SchedulerConfig,
     UndefinedMetricError,
+    ValidationError,
     build_report,
     mean_compute_utilization,
     per_resource_mean_utilization,
+    schedule_max_util,
+    total_power,
     utilization_stddev,
 )
+from gptsched.scheduling import ClusterState
 
 from helpers import node, template
 
@@ -199,3 +207,90 @@ def test_mean_and_stddev_are_exact(utils: list) -> None:
 def test_stddev_is_a_float_when_the_variance_passes_two_to_the_109() -> None:
     stddev = utilization_stddev(_cluster([0.0, 2.0**60]))
     assert type(stddev) is float and stddev == 2.0**59
+
+
+_TEMPLATES = (
+    template(),
+    template(compute=50.0, memory=200.0, storage=75.0, p_idle=0.0, p_max=150.0),
+    template(compute=1000.0, memory=512.0, storage=2000.0, p_idle=100.0, p_max=400.0),
+)
+_RESIDENTS = (None, (0.1, 0.2, 0.0), (0.5, 0.5, 0.5), (0.79, 0.0, 0.3))
+_AMOUNTS = st.sampled_from([0.0, 1.0, 7.5, 25.0, 1 / 3]) | st.floats(0.0, 60.0)
+
+
+@st.composite
+def _states(draw: st.DrawFn) -> ClusterState:
+    """A state under a random policy, moved by random allocations,
+    releases, removals and added nodes."""
+
+    policy = PowerPolicy(mode=draw(st.sampled_from(list(PowerMode))), off_when_empty=draw(st.booleans()))
+    nodes = [
+        node(f"n{i}", draw(st.sampled_from(_TEMPLATES)), draw(st.sampled_from(_RESIDENTS)))
+        for i in range(draw(st.integers(0, 5)))
+    ]
+    state = ClusterState(nodes, policy)
+    live = {}  # request id -> (node id, pct)
+    for step in range(draw(st.integers(0, 25))):
+        move = draw(st.sampled_from(["allocate", "allocate", "release", "remove", "add"]))
+        if move == "add" or not state.ids:
+            state.add_node(f"a{step}", draw(st.sampled_from(_TEMPLATES)))
+        elif move == "allocate":
+            i = draw(st.integers(0, len(state) - 1))
+            demand = ResourceVector(draw(_AMOUNTS), draw(_AMOUNTS), draw(_AMOUNTS))
+            live[f"r{step}"] = (state.ids[i], state.allocate(i, f"r{step}", demand))
+        elif move == "release" and live:
+            request_id = draw(st.sampled_from(sorted(live)))
+            node_id, pct = live.pop(request_id)
+            state.release(node_id, request_id, pct)
+        elif move == "remove":
+            node_id = draw(st.sampled_from(state.ids))
+            state.remove(node_id)
+            live = {r: held for r, held in live.items() if held[0] != node_id}
+    return state
+
+
+@settings(max_examples=200, deadline=None)
+@given(state=_states(), unallocated=st.integers(0, 3))
+def test_a_state_reports_as_its_node_list_does(state, unallocated) -> None:
+    nodes = list(state)
+    allocation = {request_id: view.id for view in nodes for request_id in sorted(view.allocated)}
+    outcome = AllocationOutcome(
+        allocation=allocation,
+        unallocated=tuple(f"u{k}" for k in range(unallocated)),
+        created_node_ids=tuple(state.ids[:1]),
+        trace=(),
+    )
+    report = build_report(outcome, state, state.policy)
+    assert report == build_report(outcome, nodes, state.policy)
+    # The node list's draws, summed in node order as total_power sums them.
+    assert report.total_power_w == total_power(nodes, state.policy)
+    assert report.node_count == len(nodes)
+    if not nodes:
+        return
+    for metric in (mean_compute_utilization, utilization_stddev, per_resource_mean_utilization):
+        assert metric(state) == metric(nodes)
+    assert mean_compute_utilization(state) == math.fsum(n.utilization.compute for n in nodes) / len(nodes)
+
+
+@settings(max_examples=50, deadline=None)
+@given(state=_states())
+def test_a_state_priced_under_another_policy_is_refused(state) -> None:
+    other = PowerPolicy(mode=state.policy.mode, off_when_empty=not state.policy.off_when_empty)
+    outcome = AllocationOutcome(allocation={}, unallocated=(), created_node_ids=(), trace=())
+    with pytest.raises(ValidationError, match="priced with") as reported:
+        build_report(outcome, state, other)
+    with pytest.raises(ValidationError) as scheduled:
+        schedule_max_util([], state, SchedulerConfig(power_policy=other))
+    assert str(reported.value) == str(scheduled.value)
+    # An equal policy that is another object is the state's own.
+    equal = PowerPolicy(mode=state.policy.mode, off_when_empty=state.policy.off_when_empty)
+    assert build_report(outcome, state, equal).node_count == len(state)
+
+
+def test_a_node_list_with_a_repeated_id_is_refused() -> None:
+    nodes = _cluster([0.5, 0.25]) + _cluster([0.0])
+    for metric in (mean_compute_utilization, utilization_stddev, per_resource_mean_utilization):
+        with pytest.raises(ValidationError, match="duplicate node id"):
+            metric(nodes)
+    with pytest.raises(ValidationError, match="duplicate node id"):
+        build_report(_empty_outcome(), nodes)

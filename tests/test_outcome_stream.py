@@ -232,7 +232,7 @@ def test_string_that_utf8_cannot_encode_fails_cleanly(tmp_path) -> None:
 def test_path_sink_memory_stays_below_half_the_document(tmp_path) -> None:
     config = default_config()
     workload = generate_synthetic(GeneratorSpec(request_count=2000, seed=7))
-    nodes = config.fresh_nodes()
+    nodes = list(config.initial_nodes)
     outcome, report = run_batch(workload, nodes, "max-util", config.scheduler, coeffs=config.coefficients)
     assert len(outcome.trace) >= 2000 and len(nodes) >= 100
     path = tmp_path / "outcome.json"

@@ -362,7 +362,7 @@ def test_threshold_schedulers_differ_only_when_resorting() -> None:
     resort = replace(sort_once, resort_after_each_allocation=True)
 
     def run(scheduler, scheduler_config):
-        nodes = config.fresh_nodes()
+        nodes = list(config.initial_nodes)
         allocation = scheduler(workload, nodes, scheduler_config).allocation
         return allocation, utilization_stddev(nodes)
 

@@ -372,7 +372,7 @@ def test_timeline_matches_naive_replay(algorithm, resort, scenario) -> None:
     assert any(e.kind is EventKind.SCALE_CHECK for e in result.events)
 
 
-def test_timeline_builds_nodes_only_for_the_report(monkeypatch) -> None:
+def test_timeline_builds_no_node_without_on_event(monkeypatch) -> None:
     workload = _generated_timed_workload(60)
     nodes = [node("node-1"), node("node-2")]
     built = 0
@@ -388,7 +388,7 @@ def test_timeline_builds_nodes_only_for_the_report(monkeypatch) -> None:
     kinds = {e.kind for e in result.events}
     assert {EventKind.ARRIVAL, EventKind.DEPARTURE, EventKind.SCALE_CHECK} <= kinds
     assert result.snapshots and result.report.node_count
-    assert built == result.report.node_count
+    assert built == 0
 
 
 def _replay_inputs(scenario: str, resort: bool):
