@@ -55,7 +55,6 @@ from .scheduling import (
     DecisionRecord,
     NodeIdSequence,
     SchedulerConfig,
-    create_new_node,
     fits,
     schedule_load_balance,
     schedule_max_util,

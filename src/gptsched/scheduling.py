@@ -44,14 +44,13 @@ with bisect. A call on an existing state therefore costs O(log N) per
 placement plus its scan, not a sort of every node.
 
 A sort-once first-fit call of several requests sorts its own scan order
-and scans it linearly for its first request only (a one-request call
-reads the state's order in place). At its second pick it builds a
-segment tree of per-axis headroom over its scan order (Johnson's
+and builds a segment tree of per-axis headroom over it (Johnson's
 O(n log n) first fit, with one maximum per resource axis as in vector
-bin packing), so every later pick finds its node in O(log N) and decides
-it with the same exact test. Resort scans stay linear, because their
-order changes on every pick; the power scheduler examines every node by
-definition.
+bin packing), so from its first request on every pick finds its node in
+O(log N) and decides it with the same exact test. A call that reads the
+state's live order scans it linearly: a one-request call, which places
+before anything moves, and a resort call, whose order changes on every
+pick. The power scheduler examines every node by definition.
 
 Within one sort-once call the scan order only grows by appends, so every
 decision's scanned ids are a prefix of one id list: each record holds a
@@ -66,7 +65,7 @@ from dataclasses import dataclass
 from functools import partial
 from itertools import islice
 from operator import itemgetter
-from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple, Union
+from typing import Callable, Container, Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple, Union
 
 from .model import (
     TOLERANCE,
@@ -213,9 +212,10 @@ _new_pct = trusted(UtilizationVector)
 
 
 class NodeIdSequence:
-    """Source of created-node ids: auto-1, auto-2, ... skipping used ids.
+    """Source of created-node ids: auto-1, auto-2, ... skipping seeded ids.
 
-    A scheduler draws again while the id is one its cluster holds. The
+    The counter only goes up, so no id is issued twice. A scheduler passes
+    the ids its cluster holds as held, and they are skipped too. The
     timeline simulator shares one sequence, seeded with the initial node
     ids, across its scheduling calls so ids stay unique after scale-down.
     """
@@ -224,12 +224,13 @@ class NodeIdSequence:
         self._used: Set[str] = set(used)
         self._counter = 1
 
-    def next_id(self) -> str:
+    def next_id(self, held: Container[str] = ()) -> str:
+        """The next auto-k that is neither seeded nor in held."""
+
         while True:
             candidate = f"auto-{self._counter}"
             self._counter += 1
-            if candidate not in self._used:
-                self._used.add(candidate)
+            if candidate not in self._used and candidate not in held:
                 return candidate
 
 
@@ -243,12 +244,6 @@ def fits(node: Node, pct: UtilizationVector, threshold: Threshold) -> bool:
         and util.memory + pct.memory <= limit
         and util.storage + pct.storage <= limit
     )
-
-
-def create_new_node(template: NodeTemplate, id_sequence: NodeIdSequence) -> Node:
-    """A fresh empty node with the next id from the sequence."""
-
-    return Node(id=id_sequence.next_id(), template=template)
 
 
 class ClusterState(Sequence[Node]):
@@ -502,10 +497,9 @@ class _HeadroomTree:
 
     def refresh(self, pos: int) -> None:
         """Re-read the node at pos after its utilization changed or it was
-        appended; the tree doubles when pos falls outside it."""
+        appended; the tree is built again, doubled, when pos falls outside it."""
 
         if pos >= self.size:
-            self.size *= 2
             self._build()
             return
         state, margin, hc, hm, hs = self.state, self.margin, self.hc, self.hm, self.hs
@@ -546,31 +540,30 @@ class _HeadroomTree:
 class _FirstFit:
     """Scan order and choice rule of the two threshold schedulers.
 
-    A resort scan reads the state's live utilization order, so each request
-    sees the current ordering, and scans it linearly. A sort-once scan of
-    several requests sorts its own order at call start and appends the
-    nodes it creates; its first pick scans linearly, and from its second
-    pick a _HeadroomTree over the order yields the candidates. A one-request
-    call reads the state's live order, before anything is placed. Either
-    way each candidate is decided by the one exact test.
+    A call picks its scan once. A sort-once call of several requests sorts
+    its own order at call start, appends the nodes it creates, and from
+    its first pick a _HeadroomTree over that order yields the candidates.
+    Any other call reads the state's live utilization order and scans it
+    linearly: a resort call, so each request sees the current ordering,
+    and a one-request call, before anything is placed. Either way each
+    candidate is decided by the one exact test.
 
-    A sort-once order only grows, so from the second pick on the scanned
-    ids of its decisions are prefixes of one id list, extended only as far
-    as a pick has reached. A linear pick wraps a fresh tuple of its own.
+    An own order only grows, so the scanned ids of a sort-once call's
+    decisions are prefixes of one id list, extended only as far as a pick
+    has reached. A linear pick wraps a fresh tuple of its own.
     """
 
     def __init__(self, state: ClusterState, config: SchedulerConfig, picks: int, descending: bool) -> None:
         self.state = state
         self.descending = descending
-        self.resort = config.resort_after_each_allocation
-        self.own = not self.resort and picks > 1
+        self.own = not config.resort_after_each_allocation and picks > 1
+        self.limit = config.threshold.value + TOLERANCE
+        self.tree: Optional[_HeadroomTree] = None
         if self.own:
             self.order = sorted([state.util_entry(i, descending) for i in range(len(state))])
+            self.tree = _HeadroomTree(state, self.order, self.limit)
         else:
             self.order = state.util_order(descending)
-        self.limit = config.threshold.value + TOLERANCE
-        self.linear = True
-        self.tree: Optional[_HeadroomTree] = None
         # Position of the node the last pick chose or created: the skeleton
         # allocates onto it before the next pick, which refreshes its leaf.
         self.last = -1
@@ -593,23 +586,21 @@ class _FirstFit:
         return -1, self._scanned(len(self.order)), ()
 
     def _candidates(self, dc: float, dm: float, ds: float) -> Iterable[Tuple[int, int]]:
-        if self.linear:
-            # A one-request call (a timeline arrival) never pays for a tree.
-            self.linear = self.resort
+        if not self.own:
             return enumerate(map(_entry_index, self.order))
-        if self.tree is None:
-            self.tree = _HeadroomTree(self.state, self.order, self.limit)
-        elif self.last >= 0:
+        if self.last >= 0:
             self.tree.refresh(self.last)
         return self.tree.candidates(dc, dm, ds)
 
     def _scanned(self, length: int) -> Sequence[str]:
+        """The first length ids of the scan order, () when scans are not
+        recorded. Every view of a sort-once call shares self.ids; a linear
+        pick's view wraps an exact-size tuple, the smallest base for a view
+        that nothing else shares."""
+
         if not self.record:
             return ()
-        if self.tree is None:
-            # A linear pick: every resort pick and a call's first, the only
-            # one of a timeline arrival. An exact-size tuple is the smallest
-            # base for a view that nothing else shares.
+        if not self.own:
             return ScanPrefix(tuple(map(_entry_id, self.order[:length])), length)
         ids = self.ids
         if len(ids) < length:
@@ -714,10 +705,7 @@ def _schedule(
         if chosen < 0 and template is not None:
             cap, limit = template.capacity, scan.limit
             if dc / cap.compute <= limit and dm / cap.memory_gib <= limit and ds / cap.storage_gib <= limit:
-                node_id = seq.next_id()
-                while node_id in state.index:
-                    node_id = seq.next_id()
-                chosen = state.add_node(node_id, template)
+                chosen = state.add_node(seq.next_id(state.index), template)
                 scan.created(chosen)
                 fresh = True
         if chosen < 0:

@@ -178,9 +178,12 @@ def run_timeline(
     """
 
     scheduler = _scheduler(algorithm_id)
-    interval = snapshot_interval_s
+    try:  # as a float, so every grid time is one whatever number type is passed
+        interval = math.nan if isinstance(snapshot_interval_s, str) else float(snapshot_interval_s)
+    except (TypeError, ValueError, OverflowError):
+        interval = math.nan
     if not 0.0 < interval < math.inf:  # 0 * inf is NaN: no grid point would match
-        raise ValidationError(f"snapshot_interval_s must be finite and > 0, got {interval!r}")
+        raise ValidationError(f"snapshot_interval_s must be finite and > 0, got {echo(snapshot_interval_s)}")
     validate_unique_ids((r.id for r in workload), "request")
     last_departure = 0.0
     for request in workload:

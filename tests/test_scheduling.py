@@ -19,7 +19,6 @@ from gptsched import (
     Threshold,
     UtilizationVector,
     ValidationError,
-    create_new_node,
     default_config,
     fits,
     generate_synthetic,
@@ -232,16 +231,20 @@ def test_power_absolute_after_mode_changes_choice() -> None:
 
 def test_created_node_ids_sequence_skips_used_ids() -> None:
     seq = NodeIdSequence(["auto-1"])
-    created = create_new_node(template(), seq)
-    assert created.id == "auto-2"
-    assert created.utilization.as_tuple() == (0.0, 0.0, 0.0)
-    assert create_new_node(template(), seq).id == "auto-3"
+    assert seq.next_id() == "auto-2"
+    assert seq.next_id() == "auto-3"
 
 
-def test_create_new_node_sequence_from_scratch() -> None:
+def test_created_node_ids_sequence_skips_held_ids() -> None:
+    seq = NodeIdSequence(["auto-1"])
+    assert seq.next_id({"auto-2"}) == "auto-3"
+    assert seq.next_id() == "auto-4"
+
+
+def test_created_node_ids_sequence_from_scratch() -> None:
     seq = NodeIdSequence()
-    assert create_new_node(template(), seq).id == "auto-1"
-    assert create_new_node(template(), seq).id == "auto-2"
+    assert seq.next_id() == "auto-1"
+    assert seq.next_id() == "auto-2"
 
 
 def test_scheduler_skips_existing_auto_ids() -> None:
@@ -542,9 +545,9 @@ def test_scan_prefix_keeps_its_contents_when_its_list_grows() -> None:
 
 
 def test_sort_once_decisions_share_one_scanned_list() -> None:
-    # The first, linear pick wraps a tuple of its own; every later record
-    # of the call views one list, grown only as far as a scan reached:
-    # auto-2, created by the last request, was never scanned.
+    # Every record of the call, the first included, views one list, grown
+    # only as far as a scan reached: auto-2, created by the last request,
+    # was never scanned.
     nodes = [node("n1"), node("n2")]
     outcome = schedule_max_util(
         [request(f"r{k}", 70.0) for k in range(4)], nodes, _config(autoscale=True)
@@ -552,9 +555,8 @@ def test_sort_once_decisions_share_one_scanned_list() -> None:
     views = [record.scanned for record in outcome.trace]
     assert [tuple(v) for v in views] == [("n1",), ("n1", "n2"), ("n1", "n2"), ("n1", "n2", "auto-1")]
     assert outcome.created_node_ids == ("auto-1", "auto-2")
-    assert views[0].base == ("n1",)
-    assert len({id(v.base) for v in views[1:]}) == 1
-    assert views[1].base == ["n1", "n2", "auto-1"]
+    assert len({id(v.base) for v in views}) == 1
+    assert views[0].base == ["n1", "n2", "auto-1"]
 
 
 # Capacities and demands of the exactness instances: demand/capacity ratios
@@ -662,7 +664,7 @@ class _CountedCapacity(float):
 )
 def test_sort_once_first_fit_tests_each_node_about_once(monkeypatch, scheduler, blocked_util, open_util) -> None:
     # M requests on N >> M nodes, the first feasible one deep in the scan
-    # order: one linear first pick, then O(log N) per pick, not N.
+    # order: O(log N) per pick from the first one on, not N.
     n, m = 2000, 60
     nodes = [node(f"b{k:04d}", template(), blocked_util) for k in range(n - 16)]
     nodes += [node(f"o{k:02d}", template(), open_util) for k in range(16)]
@@ -672,7 +674,7 @@ def test_sort_once_first_fit_tests_each_node_about_once(monkeypatch, scheduler, 
     outcome = scheduler([request(f"r{j:03d}", 10.0, 10.0) for j in range(m)], state, _config())
     assert len(outcome.allocation) == m and not outcome.created_node_ids
     assert all(node_id.startswith("o") for node_id in outcome.allocation.values())
-    assert _CountedCapacity.divisions <= n + 4 * m * math.ceil(math.log2(n))
+    assert _CountedCapacity.divisions < n
 
 
 _SHARED_SEQUENCE_OPS = st.lists(

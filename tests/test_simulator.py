@@ -28,6 +28,7 @@ from gptsched import (
     generate_synthetic,
     run_batch,
     run_timeline,
+    write_report,
 )
 from gptsched import cli, scheduling, simulator
 from gptsched.simulator import MAX_SNAPSHOT_POINTS, SnapshotRow
@@ -249,6 +250,25 @@ def test_timeline_validation() -> None:
         AdaptorPolicy(scale_down_grace_s=-1.0)
     with pytest.raises(ValidationError):
         AdaptorPolicy(retain_min_nodes=-1)
+
+
+def test_timeline_int_snapshot_interval_gives_float_grid_times(tmp_path: Path) -> None:
+    # The CSV and JSON writers write a float's cell the same way, an int's not.
+    workload = [request("r1", 10.0, arrival_s=1e9, duration_s=1.0)]
+    result = _timeline(workload, [node("node-1")], interval=10**9)
+    assert [(s.time_s, type(s.time_s)) for s in result.snapshots] == [(0.0, float), (1e9, float)]
+    write_report(result.snapshots, "csv", tmp_path / "snapshots.csv")
+    write_report(result.snapshots, "json", tmp_path / "snapshots.json")
+    csv_times = [line.split(",")[0] for line in (tmp_path / "snapshots.csv").read_text().splitlines()[1:]]
+    json_times = re.findall(r'"time_s":([^,]+),', (tmp_path / "snapshots.json").read_text())
+    assert csv_times == json_times == ["0", "1e+09"]
+
+
+@pytest.mark.parametrize("interval", [10**400, "60", None])
+def test_timeline_refuses_a_snapshot_interval_that_is_no_float(interval) -> None:
+    good = request("r1", 10.0, arrival_s=0.0, duration_s=1.0)
+    with pytest.raises(ValidationError, match="snapshot_interval_s must be finite and > 0"):
+        _timeline([good], [node("node-1")], interval=interval)
 
 
 def _generated_timed_workload(count: int = 80):
