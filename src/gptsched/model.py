@@ -26,7 +26,7 @@ import math
 from dataclasses import dataclass, fields, replace
 from enum import Enum
 from functools import lru_cache
-from typing import Any, Callable, Dict, FrozenSet, Iterable, Mapping, Optional, Tuple
+from typing import Any, Callable, Dict, FrozenSet, Iterable, Mapping, Optional, Sequence, Tuple
 
 # Absolute slack used by every feasibility comparison in the package.
 TOLERANCE = 1e-9
@@ -82,6 +82,24 @@ def trusted(cls: type) -> Callable[..., Any]:
     exec(f"def create({', '.join(env)}):\n def make({', '.join(names)}):\n  self = _new(_cls){sets}\n"
          "  return self\n return make", {}, namespace)
     return namespace["create"](**env)
+
+
+class TupleView(Sequence[Any]):
+    """A read-only sequence equal and hash-equal, both ways, to the tuple of
+    its items. A subclass gives __len__, __iter__ and __getitem__."""
+
+    __slots__ = ()
+
+    def __eq__(self, other: object) -> bool:
+        if isinstance(other, (tuple, TupleView)):
+            return len(self) == len(other) and tuple(self) == tuple(other)
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(tuple(self))
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}({tuple(self)!r})"
 
 
 def plain_amounts(a: object, b: object, c: object) -> bool:

@@ -75,6 +75,7 @@ from .model import (
     NotAllocatedError,
     ResourceVector,
     Threshold,
+    TupleView,
     UtilizationVector,
     ValidationError,
     echo,
@@ -108,15 +109,14 @@ class SchedulerConfig:
     record_scans: bool = True
 
 
-class ScanPrefix(Sequence[str]):
+class ScanPrefix(TupleView):
     """The first length ids of a shared id list, as a read-only sequence.
 
     The decisions of one scan share an id list and each wraps a prefix of
     it, so recording a decision's scanned ids costs O(1). The list may
     grow after a view is made; the view keeps its length, so its contents
     never change. A view nothing shares may wrap a tuple instead. len() is
-    O(1); == and hash() agree with the tuple of the same ids, in both
-    directions, and with any other view of the same ids.
+    O(1); == and hash() are a TupleView's, those of the tuple of the ids.
     """
 
     __slots__ = ("base", "length")
@@ -135,19 +135,6 @@ class ScanPrefix(Sequence[str]):
 
     def __iter__(self) -> Iterator[str]:
         return islice(self.base, self.length)
-
-    def __eq__(self, other: object) -> bool:
-        if isinstance(other, ScanPrefix):
-            return self.length == other.length and (self.base is other.base or tuple(self) == tuple(other))
-        if isinstance(other, tuple):
-            return self.length == len(other) and tuple(self) == other
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash(tuple(self))
-
-    def __repr__(self) -> str:
-        return f"ScanPrefix({tuple(self)!r})"
 
 
 @dataclass(frozen=True, slots=True)

@@ -6,16 +6,18 @@ over one scheduling.ClusterState. Each arrival schedules that single
 request into the state, each departure releases its percentages in place
 (reading its node and percentages from the request's decision record),
 and the resource adaptor deletes nodes that stay empty past a grace
-period. Snapshots read the state's per-node arrays on a fixed grid into
-SnapshotRow tuples, which are the snapshots table's cells as written.
-Each request's deadline miss is counted at its arrival, where its fate is
-known. Total power is recorded as piecewise-constant steps between
+period. Arrivals are merged from the workload sorted once, so the event
+heap holds only departures and armed scale checks. Events, power steps and
+snapshot rows (the state's per-node arrays on a fixed grid) are kept as
+parallel lists, read through ColumnViews that build each item as it is
+read. Each request's deadline miss is counted at its arrival, where its
+fate is known. Total power is recorded as piecewise-constant steps between
 events; once the loop ends, their integral up to the horizon is reported
-as energy_wh. The final report reads the state's columns: Node values are
-built only for on_event, which gets the state itself as a live read-only
-Sequence[Node]. The run's outcome is derived from its decision trace.
-Neither function prints or logs: what a run did is in its result, and
-each node removal is a SCALE_CHECK event, passed to on_event as it happens.
+as energy_wh. The final report reads the state's columns: Node and SimEvent
+values are built only for on_event, which gets the state itself as a live
+read-only Sequence[Node]. The run's outcome is derived from its decision
+trace. Neither function prints or logs: what a run did is in its result,
+and each node removal is a SCALE_CHECK event, passed to on_event as it happens.
 
 Event ordering at equal times is departure, then arrival, then snapshot,
 then scale-down check, with ties inside a kind broken by ascending
@@ -30,10 +32,10 @@ import heapq
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, Iterator, List, NamedTuple, Optional, Sequence, Tuple, Union
 
 from .metrics import Report, build_report
-from .model import ConfigError, GptRequest, Node, ValidationError, echo, trusted, validate_unique_ids
+from .model import ConfigError, GptRequest, Node, TupleView, ValidationError, echo, trusted, validate_unique_ids
 from .model import release_from_node  # noqa: F401  re-exported; the timeline uses ClusterState
 from .power import node_power, total_power  # noqa: F401  re-exported, likewise
 from .profiler import DEFAULT_COEFFICIENTS, ProfilerCoefficients
@@ -81,6 +83,12 @@ class SimEvent:
 _new_event = trusted(SimEvent)  # SimEvent has no checks to skip, only __init__
 
 
+def _event(cells: Sequence[object]) -> SimEvent:
+    time_s, kind, key = cells  # key: a scale check's node id, else a request id or None
+    scale_check = kind is EventKind.SCALE_CHECK
+    return _new_event(time_s, kind, None if scale_check else key, key if scale_check else None)
+
+
 @dataclass(frozen=True)
 class AdaptorPolicy:
     """Scale-down behavior: grace period and a floor on cluster size.
@@ -103,7 +111,7 @@ class AdaptorPolicy:
 
 class SnapshotRow(NamedTuple):
     """Per-node utilization and power at one snapshot instant; the tuple is
-    the row's snapshots-table cells in column order."""
+    the row's snapshots-table cells in column order, built as it is read."""
 
     time_s: float
     node_id: str
@@ -113,20 +121,40 @@ class SnapshotRow(NamedTuple):
     power_w: float
 
 
+class ColumnView(TupleView):
+    """Parallel lists read as one sequence: item i is make((column_1[i], ...)), built when read."""
+
+    __slots__ = ("make", "columns")
+
+    def __init__(self, make: Callable[[Sequence[object]], object], *columns: List[object]) -> None:
+        self.make, self.columns = make, columns
+
+    def __len__(self) -> int:
+        return len(self.columns[0])
+
+    def __getitem__(self, index):  # type: ignore[no-untyped-def]
+        cells = [column[index] for column in self.columns]
+        return tuple(map(self.make, zip(*cells))) if isinstance(index, slice) else self.make(cells)
+
+    def __iter__(self) -> Iterator[object]:
+        return map(self.make, zip(*self.columns))
+
+
 @dataclass(frozen=True)
 class TimelineResult:
     """Everything a timeline run produced.
 
     power_steps is the piecewise-constant total-power trajectory as
     (time_s, watts) change points; energy_wh in the report integrates it
-    over [0, horizon].
+    over [0, horizon]. events, power_steps and snapshots are read-only
+    ColumnViews, equal and hash-equal to the tuples of their items; a slice is a tuple.
     """
 
     report: Report
-    snapshots: Tuple[SnapshotRow, ...]
+    snapshots: Sequence[SnapshotRow]
     outcome: AllocationOutcome
-    events: Tuple[SimEvent, ...]
-    power_steps: Tuple[Tuple[float, float], ...]
+    events: Sequence[SimEvent]
+    power_steps: Sequence[Tuple[float, float]]
 
 
 def _scheduler(algorithm_id: str) -> Callable[..., AllocationOutcome]:
@@ -209,48 +237,50 @@ def run_timeline(
                 "pre-existing allocations have no departure times"
             )
 
-    requests = {r.id: r for r in workload}
     state = ClusterState(initial_nodes, config.power_policy)
     id_sequence = NodeIdSequence(n.id for n in initial_nodes)
-    # Heap entries: (time, rank, request or node id, armed_at). armed_at
-    # is when a scale check's node became empty, 0.0 for other kinds.
-    heap: List[Tuple[float, int, str, float]] = [(r.arrival_s, _ARRIVAL, r.id, 0.0) for r in workload]
-    heapq.heapify(heap)
+    # Entries (time, rank, request or node id, payload): an arrival's request, a departure's
+    # record or a scale check's armed_at (when its node became empty). Ranks differ across
+    # kinds, and ids within the others, so only armed_at payloads are ever compared.
+    arrivals = ((r.arrival_s, _ARRIVAL, r.id, r) for r in sorted(workload, key=lambda r: (r.arrival_s, r.id)))
+    pending = next(arrivals, None)  # the next arrival's entry, never heaped
+    heap: List[Tuple[float, int, str, object]] = []  # departures and scale checks
     trace: List[DecisionRecord] = []
-    # The decision record of each placed request that has not departed.
-    live: Dict[str, DecisionRecord] = {}
     empty_since: Dict[str, float] = {}
-    snapshots: List[SnapshotRow] = []
-    events: List[SimEvent] = []
     power = state.power
+    event_times, event_kinds, event_keys = events = ([], [], [])  # type: ignore[var-annotated]
+    rows: Tuple[List[object], ...] = ([], [], [], [], [], [])
+    cells = (state.ids, state.uc, state.um, state.us, power)  # a row's cells after its time
     # After each event, the total of the draws, summed as total_power sums them.
-    steps = [(0.0, sum(power))]
+    step_times, step_watts = [0.0], [sum(power)]
     horizon: Optional[float] = None
     deadline_misses = 0
     energy_wh = 0.0
 
-    emit: Callable[[SimEvent], None] = events.append
-    if on_event is not None:
-        def emit(event: SimEvent) -> None:
-            events.append(event)
-            on_event(event, state)
+    def emit(time_s: float, kind: EventKind, key: Optional[str]) -> None:
+        event_times.append(time_s)
+        event_kinds.append(kind)
+        event_keys.append(key)
+        if on_event is not None:
+            on_event(_event((time_s, kind, key)), state)
 
     def snapshot(time_s: float) -> None:
-        uc, um, us = state.uc, state.um, state.us
-        for node_id, i in state.id_order():
-            snapshots.append(SnapshotRow(time_s, node_id, uc[i], um[i], us[i], power[i]))
-        emit(_new_event(time_s, EventKind.SNAPSHOT, None, None))
+        order = state.id_order()
+        rows[0].extend([time_s] * len(order))
+        for column, values in zip(rows[1:], cells):
+            column.extend([values[i] for _, i in order])
+        emit(time_s, EventKind.SNAPSHOT, None)
 
     snap_index = 0  # next grid point is snap_index * interval
-    while heap:
-        time_s, rank, key, armed_at = heap[0]
+    while heap or pending:
+        time_s, rank, key, payload = heap[0] if heap and (pending is None or heap[0] < pending) else pending
         # A scale check is decided at the heap top, where every earlier
         # mutation has been applied. One that removes nothing (the node was
         # reused or removed since arming, or retain_min_nodes keeps it) is
         # not activity: drop it before the snapshot grid runs ahead of the
         # real horizon.
         if rank == _SCALE_CHECK and (
-            empty_since.get(key) != armed_at or len(state) - 1 < adaptor.retain_min_nodes
+            empty_since.get(key) != payload or len(state) - 1 < adaptor.retain_min_nodes
         ):
             heapq.heappop(heap)
             continue
@@ -259,37 +289,38 @@ def run_timeline(
             snapshot(snap_time)
             snap_index += 1
             continue
-        heapq.heappop(heap)
         if rank == _ARRIVAL:
-            request = requests[key]
+            pending = next(arrivals, None)
+            request: GptRequest = payload
             record = scheduler([request], state, config, coeffs=coeffs, id_sequence=id_sequence).trace[0]
             trace.append(record)
             node_id = record.chosen_node_id
             if node_id is not None:
-                live[key] = record
                 empty_since.pop(node_id, None)
-                heapq.heappush(heap, (time_s + request.duration_s, _DEPARTURE, key, 0.0))
+                heapq.heappush(heap, (time_s + request.duration_s, _DEPARTURE, key, record))
             # A rejected request with a deadline never completes, so it misses.
             deadline = request.deadline_s
             if deadline is not None and (node_id is None or request.duration_s > deadline):
                 deadline_misses += 1
-            event = _new_event(time_s, EventKind.ARRIVAL, key, None)
+            kind = EventKind.ARRIVAL
         elif rank == _DEPARTURE:
-            record = live.pop(key)
-            node_id = record.chosen_node_id
-            if state.release(node_id, key, record.pct):
+            heapq.heappop(heap)
+            node_id = payload.chosen_node_id
+            if state.release(node_id, key, payload.pct):
                 empty_since[node_id] = time_s
                 heapq.heappush(heap, (time_s + adaptor.scale_down_grace_s, _SCALE_CHECK, node_id, time_s))
-            event = _new_event(time_s, EventKind.DEPARTURE, key, None)
+            kind = EventKind.DEPARTURE
         else:
+            heapq.heappop(heap)
             del empty_since[key]
             state.remove(key)
-            event = _new_event(time_s, EventKind.SCALE_CHECK, None, key)
+            kind = EventKind.SCALE_CHECK
         horizon = time_s
         watts = sum(power)
-        if steps[-1][1] != watts:
-            steps.append((time_s, watts))
-        emit(event)
+        if step_watts[-1] != watts:
+            step_times.append(time_s)
+            step_watts.append(watts)
+        emit(time_s, kind, key)
 
     # Trailing grid points up to the horizon; state no longer changes.
     if horizon is not None:
@@ -299,7 +330,7 @@ def run_timeline(
         # Each step lasts until the next one starts, the last until the horizon.
         # Added in step order: sum() compensates float sums from Python 3.12.
         watt_seconds = 0.0
-        for (start, watts), (end, _) in zip(steps, steps[1:] + [(horizon, 0.0)]):
+        for start, end, watts in zip(step_times, step_times[1:] + [horizon], step_watts):
             watt_seconds += watts * (end - start)
         energy_wh = watt_seconds / 3600.0
 
@@ -314,8 +345,8 @@ def run_timeline(
     )
     return TimelineResult(
         report=report,
-        snapshots=tuple(snapshots),
+        snapshots=ColumnView(SnapshotRow._make, *rows),
         outcome=outcome,
-        events=tuple(events),
-        power_steps=tuple(steps),
+        events=ColumnView(_event, *events),
+        power_steps=ColumnView(tuple, step_times, step_watts),
     )
