@@ -18,13 +18,12 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from dataclasses import replace
 from pathlib import Path
 from typing import List, Optional, Sequence, Tuple
 
 from .config import ExperimentConfig, default_config, load_cluster_config
 from .metrics import Report
-from .model import GptRequest, GptSchedError, Node, Threshold, echo
+from .model import GptRequest, GptSchedError, Node, Threshold, echo, replace
 from .reportio import write_comparison, write_outcome_document, write_report
 from .scheduling import ALGORITHMS, AllocationOutcome, ClusterState
 from .simulator import EventKind, SimEvent, run_batch, run_timeline

@@ -40,7 +40,6 @@ constraint violations (e.g. "scheduler.threshold: threshold must be in
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields, replace
 from functools import partial
 from typing import Any, Callable, Dict, List, Mapping, Optional, Tuple, TypeVar, Union
 
@@ -54,6 +53,8 @@ from .model import (
     UtilizationVector,
     ValidationError,
     echo,
+    record,
+    replace,
 )
 from .power import PowerMode, PowerPolicy
 from .profiler import ProfilerCoefficients
@@ -72,7 +73,7 @@ MAX_CLUSTER_NODES = 100_000
 _T = TypeVar("_T")
 
 
-@dataclass(frozen=True)
+@record
 class ExperimentConfig:
     """Validated configuration: cluster, scheduler, profiler, adaptor, generator."""
 
@@ -235,7 +236,7 @@ _SECTIONS: Dict[str, Reader] = {
         "resort_after_each_allocation": _boolean,
     },
     "power": {"mode": _power_mode, "off_when_empty": _boolean},
-    "profiler": {field.name: _number for field in fields(ProfilerCoefficients)},
+    "profiler": dict.fromkeys(ProfilerCoefficients.__match_args__, _number),
     "adaptor": {"scale_down_grace_s": _number, "retain_min_nodes": _integer},
     "generator": {
         "request_count": _integer,

@@ -18,10 +18,9 @@ converted to one first, so a repeated node id is refused.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import List, Optional, Sequence
 
-from .model import GptSchedError, Node, UtilizationVector
+from .model import GptSchedError, Node, UtilizationVector, record
 from .power import DEFAULT_POWER_POLICY, PowerPolicy
 from .scheduling import AllocationOutcome, ClusterState
 
@@ -34,7 +33,7 @@ class IntegrityError(GptSchedError):
     """An outcome and a cluster state contradict each other."""
 
 
-@dataclass(frozen=True)
+@record
 class Report:
     """Summary of one scheduling run: objective metrics plus counts.
 

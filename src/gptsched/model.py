@@ -6,26 +6,25 @@ utilization vector, and the set of request ids currently allocated to it.
 Requests describe an inference task either by an explicit resource demand
 or by model/token attributes that a profiler can turn into one.
 
-All value types are frozen dataclasses so they can be compared, hashed
-where needed, and shared safely. Each checks its values when built,
-coercing a value or wording the refusal; GptRequest first tries the
-common case (every number already an exact float, or an exact int for
-token counts, in range: one type test and one chained comparison per
-field). The schedulers and the timeline mutate one scheduling.ClusterState
-in place; ``allocate_to_node`` and ``release_from_node`` return new Node
-values and serve the public API and the naive reference the tests compare
-against. The types built per request (the two vectors, GptRequest,
-DecisionRecord, AllocationOutcome and SimEvent) are slotted.
-``trusted(cls)`` builds one without its checks, only where the values are
-known to pass them; each call site says why.
+All value types are frozen records (``record``: a frozen dataclass built
+without importing dataclasses) so they can be compared, hashed where
+needed, and shared safely. Each checks its values when built, coercing a
+value or wording the refusal; GptRequest first tries the common case
+(every number already an exact float, or an exact int for token counts,
+in range: one type test and one chained comparison per field). The
+schedulers and the timeline mutate one scheduling.ClusterState in place;
+``allocate_to_node`` and ``release_from_node`` return new Node values and
+serve the public API and the naive reference the tests compare against.
+The types built per request (the two vectors, GptRequest, DecisionRecord,
+AllocationOutcome and SimEvent) are slotted. ``trusted(cls)`` builds one
+without its checks, only where the values are known to pass them; each
+call site says why.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields, replace
 from enum import Enum
-from functools import lru_cache
 from typing import Any, Callable, Dict, FrozenSet, Iterable, Mapping, Optional, Sequence, Tuple
 
 # Absolute slack used by every feasibility comparison in the package.
@@ -70,18 +69,96 @@ def _require_non_negative(name: str, value: float) -> float:
     return value
 
 
-@lru_cache(maxsize=None)
-def trusted(cls: type) -> Callable[..., Any]:
-    """A positional constructor of the slotted dataclass cls that sets each slot directly, skipping
-    __init__ and __post_init__ (generated as dataclasses generates __init__), for checked values."""
+_TRUSTED: Dict[type, Callable[..., Any]] = {}
+# A record's methods, as dataclasses generates them for a frozen class. {sets} stores each field
+# past the frozen __setattr__; _written is the class as written, before slots.
+_METHODS = """
+def __init__(self, {params}):{sets}{post_init}
+def __eq__(self, other):
+ if other.__class__ is self.__class__: return ({own}) == ({other})
+ return NotImplemented
+def __hash__(self): return hash(({own}))
+def __repr__(self): return f"{{self.__class__.__qualname__}}({shown})"
+def __setattr__(self, name, value):
+ if type(self) is _written or name in _names:
+  from dataclasses import FrozenInstanceError
+  raise FrozenInstanceError(f"cannot assign to field {{name!r}}")
+ super(_written, self).__setattr__(name, value)
+def __delattr__(self, name):
+ if type(self) is _written or name in _names:
+  from dataclasses import FrozenInstanceError
+  raise FrozenInstanceError(f"cannot delete field {{name!r}}")
+ super(_written, self).__delattr__(name)
+"""
+_SLOTTED_METHODS = """
+def __getstate__(self): return [{own}]
+def __setstate__(self, state):
+ {args}, = state{sets}
+def _trusted({args}):
+ self = _new(_cls){sets}
+ return self
+"""
 
-    names = [field.name for field in fields(cls)]
-    env = {"_new": object.__new__, "_cls": cls, **{f"_set_{n}": cls.__dict__[n].__set__ for n in names}}
-    sets = "".join(f"\n  _set_{n}(self, {n})" for n in names)
-    namespace: Dict[str, Any] = {}
-    exec(f"def create({', '.join(env)}):\n def make({', '.join(names)}):\n  self = _new(_cls){sets}\n"
-         "  return self\n return make", {}, namespace)
-    return namespace["create"](**env)
+
+def record(cls: Optional[type] = None, *, slots: bool = False) -> Any:
+    """@dataclass(frozen=True, slots=slots) without importing dataclasses: the fields are cls's annotations,
+    its class attributes their defaults, and _METHODS are generated in one exec. A slotted record is
+    rebuilt with __slots__ (no __dict__, no __weakref__); trusted(cls) builds it skipping __init__."""
+
+    if cls is None:
+        return lambda cls: record(cls, slots=slots)
+    names = tuple(cls.__dict__.get("__annotations__", ()))
+    defaults = {name: cls.__dict__[name] for name in names if name in cls.__dict__}
+    env = {"_written": cls, "_names": names, "_new": object.__new__, "_setattr": object.__setattr__,
+           **{f"_d_{n}": value for n, value in defaults.items()}}
+    if slots:
+        body = {k: v for k, v in cls.__dict__.items() if k not in (*names, "__dict__", "__weakref__")}
+        cls = type(cls)(cls.__name__, cls.__bases__, {**body, "__slots__": names, "__qualname__": cls.__qualname__})
+        env.update({f"_set_{n}": cls.__dict__[n].__set__ for n in names})
+    env["_cls"] = cls
+    source = (_METHODS + (_SLOTTED_METHODS if slots else "")).format(
+        params=", ".join(f"{n}=_d_{n}" if n in defaults else n for n in names), args=", ".join(names),
+        sets="".join(f"\n _set_{n}(self, {n})" if slots else f"\n _setattr(self, {n!r}, {n})" for n in names),
+        post_init="\n self.__post_init__()" if hasattr(cls, "__post_init__") else "",
+        own="".join(f"self.{n}," for n in names), other="".join(f"other.{n}," for n in names),
+        shown=", ".join(f"{n}={{self.{n}!r}}" for n in names))
+    methods: Dict[str, Any] = {}
+    exec(source, env, methods)
+    if slots:
+        _TRUSTED[cls] = methods.pop("_trusted")
+    methods["__init__"].__annotations__ = {**cls.__annotations__, "return": None}
+    for name, method in methods.items():
+        method.__qualname__ = f"{cls.__qualname__}.{name}"
+        setattr(cls, name, method)
+    cls.__match_args__, cls.__replace__, cls.__dataclass_fields__ = names, replace, _DataclassFields(defaults)
+    return cls
+
+
+class _DataclassFields(dict):
+    """A record's defaults, standing for its __dataclass_fields__ until first read. Then dataclasses
+    builds them, and __dataclass_params__, for a twin with the same annotations and defaults."""
+
+    def __get__(self, obj: object, cls: Any) -> Any:
+        import dataclasses
+
+        spec = [(n, cls.__annotations__[n], dataclasses.field(default=self.get(n, dataclasses.MISSING)))
+                for n in cls.__match_args__]
+        twin = dataclasses.make_dataclass(cls.__name__, spec, frozen=True, slots="__slots__" in cls.__dict__)
+        cls.__dataclass_fields__, cls.__dataclass_params__ = twin.__dataclass_fields__, twin.__dataclass_params__
+        return twin.__dataclass_fields__
+
+
+def replace(obj: Any, /, **changes: Any) -> Any:
+    """A copy of the record obj with the given fields changed, as dataclasses.replace makes it."""
+
+    return obj.__class__(**{**{n: getattr(obj, n) for n in obj.__match_args__}, **changes})
+
+
+def trusted(cls: type) -> Callable[..., Any]:
+    """The positional constructor of the slotted record cls: it sets each slot, skipping __init__
+    and __post_init__, for values known to pass cls's checks."""
+
+    return _TRUSTED[cls]
 
 
 class TupleView(Sequence[Any]):
@@ -117,7 +194,7 @@ class TaskKind(str, Enum):
     OTHER = "other"
 
 
-@dataclass(frozen=True, slots=True)
+@record(slots=True)
 class ResourceVector:
     """Absolute amounts along the three resource axes.
 
@@ -138,7 +215,7 @@ class ResourceVector:
         return (self.compute, self.memory_gib, self.storage_gib)
 
 
-@dataclass(frozen=True, slots=True)
+@record(slots=True)
 class UtilizationVector:
     """Fractions of a node's capacity along the three resource axes.
 
@@ -166,7 +243,7 @@ class UtilizationVector:
 ZERO_UTILIZATION = UtilizationVector(0.0, 0.0, 0.0)
 
 
-@dataclass(frozen=True)
+@record
 class NodeTemplate:
     """Immutable description of a node type: capacity plus power envelope.
 
@@ -191,7 +268,7 @@ class NodeTemplate:
             )
 
 
-@dataclass(frozen=True)
+@record
 class Node:
     """A provisioned node: identity, template, utilization, allocated set."""
 
@@ -227,7 +304,7 @@ def plain_request_values(kind: Any, params: Any, prompt: Any, output: Any, arriv
     )
 
 
-@dataclass(frozen=True, slots=True)
+@record(slots=True)
 class GptRequest:
     """One GPT inference request.
 
@@ -275,7 +352,7 @@ class GptRequest:
             object.__setattr__(self, "deadline_s", deadline)
 
 
-@dataclass(frozen=True)
+@record
 class Threshold:
     """Per-axis utilization cap used by the threshold-based schedulers.
 

@@ -8,11 +8,10 @@ selected by PowerPolicy.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable
 
-from .model import Node, UtilizationVector
+from .model import Node, UtilizationVector, record
 
 
 class PowerMode(str, Enum):
@@ -27,7 +26,7 @@ class PowerMode(str, Enum):
     ABSOLUTE_AFTER = "absolute-after"
 
 
-@dataclass(frozen=True)
+@record
 class PowerPolicy:
     """Power accounting knobs shared by metrics, scheduling and simulation."""
 

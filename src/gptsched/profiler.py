@@ -16,16 +16,15 @@ model with 1000 total tokens cost 14 compute units, 14.14 GiB of memory and
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
 
-from .model import GptRequest, GptSchedError, ResourceVector, ValidationError, echo, plain_amounts, trusted
+from .model import GptRequest, GptSchedError, ResourceVector, ValidationError, echo, plain_amounts, record, trusted
 
 
 class UnprofilableRequestError(GptSchedError):
     """The request has no explicit demand and no positive model size."""
 
 
-@dataclass(frozen=True)
+@record
 class ProfilerCoefficients:
     """Linear coefficients of the demand model. All must be finite and >= 0."""
 
@@ -35,10 +34,10 @@ class ProfilerCoefficients:
     storage_gib_per_b: float = 2.0
 
     def __post_init__(self) -> None:
-        for field in fields(self):
-            value = getattr(self, field.name)
+        for name in self.__match_args__:
+            value = getattr(self, name)
             if not math.isfinite(value) or value < 0.0:
-                raise ValidationError(f"{field.name} must be finite and >= 0, got {value!r}")
+                raise ValidationError(f"{name} must be finite and >= 0, got {value!r}")
 
 
 DEFAULT_COEFFICIENTS = ProfilerCoefficients()

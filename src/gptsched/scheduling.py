@@ -61,7 +61,6 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left, insort
-from dataclasses import dataclass
 from functools import partial
 from itertools import islice
 from operator import itemgetter
@@ -79,6 +78,7 @@ from .model import (
     UtilizationVector,
     ValidationError,
     echo,
+    record,
     trusted,
     validate_unique_ids,
 )
@@ -90,7 +90,7 @@ REASON_NO_FEASIBLE_NODE = "no-feasible-node"
 REASON_INFEASIBLE_ON_ANY_NODE = "infeasible-on-any-node"
 
 
-@dataclass(frozen=True)
+@record
 class SchedulerConfig:
     """Knobs shared by the three schedulers.
 
@@ -137,7 +137,7 @@ class ScanPrefix(TupleView):
         return islice(self.base, self.length)
 
 
-@dataclass(frozen=True, slots=True)
+@record(slots=True)
 class DecisionRecord:
     """Why one request landed where it did.
 
@@ -160,7 +160,7 @@ class DecisionRecord:
     power_estimates: Tuple[Tuple[str, float], ...] = ()
 
 
-@dataclass(frozen=True, slots=True)
+@record(slots=True)
 class AllocationOutcome:
     """Result of one scheduling run, derived from its trace by from_trace.
 

@@ -30,12 +30,11 @@ from __future__ import annotations
 
 import heapq
 import math
-from dataclasses import dataclass
 from enum import Enum
 from typing import Callable, Dict, Iterator, List, NamedTuple, Optional, Sequence, Tuple, Union
 
 from .metrics import Report, build_report
-from .model import ConfigError, GptRequest, Node, TupleView, ValidationError, echo, trusted, validate_unique_ids
+from .model import ConfigError, GptRequest, Node, TupleView, ValidationError, echo, record, trusted, validate_unique_ids
 from .model import release_from_node  # noqa: F401  re-exported; the timeline uses ClusterState
 from .power import node_power, total_power  # noqa: F401  re-exported, likewise
 from .profiler import DEFAULT_COEFFICIENTS, ProfilerCoefficients
@@ -70,7 +69,7 @@ _DEPARTURE, _ARRIVAL, _SNAPSHOT, _SCALE_CHECK = range(4)
 MAX_SNAPSHOT_POINTS = 100_000
 
 
-@dataclass(frozen=True, slots=True)
+@record(slots=True)
 class SimEvent:
     """One processed timeline event."""
 
@@ -89,7 +88,7 @@ def _event(cells: Sequence[object]) -> SimEvent:
     return _new_event(time_s, kind, None if scale_check else key, key if scale_check else None)
 
 
-@dataclass(frozen=True)
+@record
 class AdaptorPolicy:
     """Scale-down behavior: grace period and a floor on cluster size.
 
@@ -140,7 +139,7 @@ class ColumnView(TupleView):
         return map(self.make, zip(*self.columns))
 
 
-@dataclass(frozen=True)
+@record
 class TimelineResult:
     """Everything a timeline run produced.
 
@@ -252,7 +251,7 @@ def run_timeline(
     rows: Tuple[List[object], ...] = ([], [], [], [], [], [])
     cells = (state.ids, state.uc, state.um, state.us, power)  # a row's cells after its time
     # After each event, the total of the draws, summed as total_power sums them.
-    step_times, step_watts = [0.0], [sum(power)]
+    step_times, step_watts = [0.0], [sum(power, 0.0)]  # a float with no nodes too
     horizon: Optional[float] = None
     deadline_misses = 0
     energy_wh = 0.0
@@ -316,7 +315,7 @@ def run_timeline(
             state.remove(key)
             kind = EventKind.SCALE_CHECK
         horizon = time_s
-        watts = sum(power)
+        watts = sum(power, 0.0)
         if step_watts[-1] != watts:
             step_times.append(time_s)
             step_watts.append(watts)

@@ -29,7 +29,6 @@ from __future__ import annotations
 import io
 import json
 import math
-from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from .model import (
@@ -40,6 +39,7 @@ from .model import (
     ValidationError,
     echo,
     plain_request_values,
+    record,
     trusted,
 )
 from .reportio import TextStream, open_text, write_chunks
@@ -108,7 +108,7 @@ class SplitMix64:
         return len(cumulative) - 1
 
 
-@dataclass(frozen=True)
+@record
 class LognormalSpec:
     """Parameters of a lognormal distribution: exp(mu + sigma * N(0,1))."""
 
@@ -120,7 +120,7 @@ class LognormalSpec:
             raise ValidationError(f"lognormal parameters must be finite with sigma >= 0, got {self}")
 
 
-@dataclass(frozen=True)
+@record
 class GeneratorSpec:
     """Knobs of the synthetic workload generator.
 

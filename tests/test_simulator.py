@@ -606,3 +606,16 @@ def test_on_event_sees_exactly_the_result_events_and_the_live_state() -> None:
     assert isinstance(views[0], scheduling.ClusterState) and all(view is views[0] for view in views)
     assert len(set(sizes)) > 1
     assert tuple(snapshot_rows) == result.snapshots
+
+
+
+@pytest.mark.parametrize("initial", [[], ["node-1"]], ids=["starts-empty", "scales-to-zero"])
+def test_every_power_step_is_a_float_watts(initial) -> None:
+    # An empty cluster draws 0.0 W, not the int 0 that sum([]) gives: at the
+    # start with no node, and after the last node is scaled down (an empty
+    # node that stays on draws its idle power until then).
+    workload = [request(f"r{k}", 30.0, arrival_s=float(k), duration_s=1.5) for k in range(4)]
+    policy = PowerPolicy(off_when_empty=False)
+    result = _timeline(workload, [node(n) for n in initial], autoscale=True, grace=0.0, policy=policy)
+    assert result.power_steps[0][1] == 100.0 * len(initial) and result.power_steps[-1][1] == 0.0
+    assert all(type(watts) is float for _, watts in result.power_steps)
