@@ -152,7 +152,7 @@ def build_report(
     return Report(
         mean_compute_utilization=per_resource.compute,
         utilization_stddev=stddev,
-        total_power_w=sum(state.power),
+        total_power_w=sum(state.power, 0.0),  # a float with no nodes too
         node_count=len(state),
         created_node_count=len(outcome.created_node_ids),
         request_count=len(outcome.allocation) + len(outcome.unallocated),

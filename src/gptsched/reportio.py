@@ -6,9 +6,10 @@ produce identical bytes and a parse/re-serialize cycle is the identity.
 CSV output uses the same numeric formatting, a stable column order and LF
 line endings.
 
-The outcome document is written straight from the decision records, each
-distinct string escaped once per document: the id list a scan shares
-between its decisions (ScanPrefix views) is encoded once, and each view is
+The outcome document is written straight from the outcome, each distinct
+string escaped once per document: the allocation map leaves pair by pair
+in slices, never held as one string, and the id list a scan shares
+between its decisions (ScanPrefix views) is encoded once, each view
 written as one slice of those bytes.
 
 Every table (the one-row report CSV, snapshots, comparisons) is written
@@ -374,8 +375,9 @@ def _outcome_chunks(
     algorithm: str, outcome: AllocationOutcome, report: Report
 ) -> Iterator[Union[bytes, memoryview]]:
     # One fixed template per decision record, in outcome_to_dict's key order.
-    # Text gathers in pending up to a scanned view, which is yielded as a
-    # slice of the encoded bytes of its base list.
+    # Text gathers in pending, the allocation map pair by pair, up to a
+    # scanned view, which is yielded as a slice of the encoded bytes of its
+    # base list, or up to _WRITE_SLICE characters.
     escapes: Dict[str, str] = {}
     # Power estimates repeat few watt values: each is formatted once (a NaN
     # never matches a key, so format_float still refuses every one).
@@ -390,10 +392,13 @@ def _outcome_chunks(
         return _json_cell(value)
 
     allocation = outcome.allocation
-    head = '{"algorithm":%s,"outcome":{"allocation":{%s},"unallocated":[%s],"created_node_ids":[%s],"trace":['
-    pending = head % (
-        text(algorithm),
-        ",".join([f"{text(str(rid))}:{text(allocation[rid])}" for rid in sorted(allocation)]),
+    pending = '{"algorithm":%s,"outcome":{"allocation":{' % text(algorithm)
+    for index, rid in enumerate(sorted(allocation)):
+        pending += f'{"," if index else ""}{text(str(rid))}:{text(allocation[rid])}'
+        if len(pending) >= _WRITE_SLICE:
+            yield pending.encode()
+            pending = ""
+    pending += '},"unallocated":[%s],"created_node_ids":[%s],"trace":[' % (
         ",".join(map(text, outcome.unallocated)),
         ",".join(map(text, outcome.created_node_ids)),
     )
@@ -433,7 +438,8 @@ def _outcome_chunks(
         if len(pending) >= _WRITE_SLICE:
             yield pending.encode()
             pending = ""
-    yield f'{pending}]}},"report":{canonical_json(report_to_dict(report))}}}\n'.encode()
+    pending += f']}},"report":{canonical_json(report_to_dict(report))}}}\n'
+    yield pending.encode()
 
 
 def write_comparison(named_reports: Sequence[Tuple[str, Report]], fmt: str, sink: TextStream) -> None:

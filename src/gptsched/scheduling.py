@@ -237,10 +237,12 @@ class ClusterState(Sequence[Node]):
     """The one mutable cluster state, as parallel per-node arrays.
 
     The arrays are in node-list order. Beside each node's utilization,
-    capacity, power envelope and allocated ids, the state keeps an
-    id -> index map, each node's current draw (power.node_power's
+    capacity, power envelope and count of held requests, the state keeps
+    an id -> index map, each node's current draw (power.node_power's
     expression under the state's policy, repriced wherever utilization or
-    emptiness changes) and the set of every held request id. Schedulers
+    emptiness changes) and node_of, the one record of each held request's
+    node. A node is empty when its count is 0, whatever its utilization.
+    A request id held by two of the given nodes is refused. Schedulers
     place into it directly; the timeline also releases and removes in
     place, and metrics.build_report reads the columns as they are.
 
@@ -251,12 +253,12 @@ class ClusterState(Sequence[Node]):
 
     As a Sequence it is a live, read-only view of the nodes: len() costs
     O(1), and a Node value is built only when an entry is indexed or
-    iterated.
+    iterated, its allocated ids read in one pass over node_of.
     """
 
     __slots__ = (
         "policy", "ids", "index", "templates", "uc", "um", "us", "cc", "cm", "cs",
-        "pidle", "pmax", "alloc", "power", "held", "by_id", "by_util",
+        "pidle", "pmax", "count", "power", "node_of", "by_id", "by_util",
     )
 
     def __init__(self, nodes: Sequence[Node], policy: PowerPolicy = DEFAULT_POWER_POLICY) -> None:
@@ -273,17 +275,20 @@ class ClusterState(Sequence[Node]):
         self.cs: List[float] = []
         self.pidle: List[float] = []
         self.pmax: List[float] = []
-        self.alloc: List[Set[str]] = []
+        self.count: List[int] = []
         self.power: List[float] = []
-        self.held: Set[str] = set()
+        self.node_of: Dict[str, str] = {}
         # The scan orders built so far; util orders are keyed by direction.
         self.by_id: Optional[List[Tuple[str, int]]] = None
         self.by_util: Dict[bool, List[Tuple[float, str, int]]] = {}
         for node in nodes:
             i = self.add_node(node.id, node.template)
             self.uc[i], self.um[i], self.us[i] = node.utilization.as_tuple()
-            self.alloc[i].update(node.allocated)
-            self.held.update(node.allocated)
+            for rid in node.allocated:
+                held = self.node_of.setdefault(rid, node.id)
+                if held != node.id:
+                    raise ValidationError(f"request {echo(rid)} is allocated on both {echo(held)} and {echo(node.id)}")
+            self.count[i] = len(node.allocated)
             self._price(i)
 
     def __len__(self) -> int:
@@ -291,19 +296,25 @@ class ClusterState(Sequence[Node]):
 
     def __getitem__(self, index):  # type: ignore[no-untyped-def]
         if isinstance(index, slice):
-            return [self._node(i) for i in range(len(self.ids))[index]]
-        return self._node(range(len(self.ids))[index])
+            return list(self)[index]
+        i = range(len(self.ids))[index]
+        node_id = self.ids[i]
+        return self._node(i, [rid for rid, nid in self.node_of.items() if nid == node_id])
 
     def __iter__(self) -> Iterator[Node]:
-        return map(self._node, range(len(self.ids)))
+        held: List[List[str]] = [[] for _ in self.ids]
+        index = self.index
+        for rid, node_id in self.node_of.items():
+            held[index[node_id]].append(rid)
+        return map(self._node, range(len(self.ids)), held)
 
-    def _node(self, i: int) -> Node:
+    def _node(self, i: int, allocated: List[str]) -> Node:
         return Node(
             id=self.ids[i],
             template=self.templates[i],
             # Unchecked: the arrays hold only finite, non-negative sums of checked pcts.
             utilization=_new_pct(self.uc[i], self.um[i], self.us[i]),
-            allocated=frozenset(self.alloc[i]),
+            allocated=frozenset(allocated),
         )
 
     def check_policy(self, policy: PowerPolicy) -> None:
@@ -313,7 +324,7 @@ class ClusterState(Sequence[Node]):
             raise ValidationError(f"cluster state is priced with {self.policy!r}, the config with {policy!r}")
 
     def _price(self, i: int) -> None:
-        if self.policy.off_when_empty and not self.alloc[i]:
+        if self.policy.off_when_empty and not self.count[i]:
             self.power[i] = 0.0
         else:
             self.power[i] = self.pidle[i] + (self.pmax[i] - self.pidle[i]) * self.uc[i]
@@ -367,7 +378,7 @@ class ClusterState(Sequence[Node]):
         self.cs.append(cap.storage_gib)
         self.pidle.append(template.p_idle_w)
         self.pmax.append(template.p_max_w)
-        self.alloc.append(set())
+        self.count.append(0)
         self.power.append(0.0)
         self._price(i)
         if self.by_id is not None:
@@ -388,8 +399,8 @@ class ClusterState(Sequence[Node]):
         self.us[i] += pct.storage
         if self.by_util:
             self._move(i, old_uc)
-        self.alloc[i].add(request_id)
-        self.held.add(request_id)
+        self.node_of[request_id] = self.ids[i]
+        self.count[i] += 1
         self._price(i)
         return pct
 
@@ -398,13 +409,12 @@ class ClusterState(Sequence[Node]):
         errors; returns whether the node is now empty."""
 
         i = self.index[node_id]
-        alloc = self.alloc[i]
-        if request_id not in alloc:
+        if self.node_of.get(request_id) != node_id:
             raise NotAllocatedError(f"request {echo(request_id)} not allocated on {echo(node_id)}")
-        alloc.remove(request_id)
-        self.held.discard(request_id)
+        del self.node_of[request_id]
+        self.count[i] -= 1
         old_uc = self.uc[i]
-        if alloc:
+        if self.count[i]:
             self.uc[i] = max(0.0, old_uc - pct.compute)
             self.um[i] = max(0.0, self.um[i] - pct.memory)
             self.us[i] = max(0.0, self.us[i] - pct.storage)
@@ -413,16 +423,17 @@ class ClusterState(Sequence[Node]):
         if self.by_util:
             self._move(i, old_uc)
         self._price(i)
-        return not alloc
+        return not self.count[i]
 
     def remove(self, node_id: str) -> None:
         """Delete a node from every array, keeping the order of the rest."""
 
         i = self.index[node_id]
-        self.held.difference_update(self.alloc[i])
+        if self.count[i]:
+            self.node_of = {rid: nid for rid, nid in self.node_of.items() if nid != node_id}
         for column in (
             self.ids, self.templates, self.uc, self.um, self.us, self.cc, self.cm, self.cs,
-            self.pidle, self.pmax, self.alloc, self.power,
+            self.pidle, self.pmax, self.count, self.power,
         ):
             del column[i]
         self.index = {nid: j for j, nid in enumerate(self.ids)}
@@ -673,7 +684,7 @@ def _schedule(
     if len(queue) > 1:  # one request has no id to repeat and no order to sort
         validate_unique_ids((r.id for r in queue), "request")
     for request in queue:
-        if request.id in state.held:
+        if request.id in state.node_of:
             raise ValidationError(f"request {echo(request.id)} is already allocated on a node")
     # Requests with their demands, by descending compute demand, ties by id.
     placements = [(r, estimate_demand(r, coeffs)) for r in queue]

@@ -16,6 +16,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from gptsched import (
+    AdaptorPolicy,
     AllocationOutcome,
     IntegrityError,
     PowerMode,
@@ -27,13 +28,15 @@ from gptsched import (
     build_report,
     mean_compute_utilization,
     per_resource_mean_utilization,
+    run_batch,
+    run_timeline,
     schedule_max_util,
     total_power,
     utilization_stddev,
 )
 from gptsched.scheduling import ClusterState
 
-from helpers import node, template
+from helpers import node, request, template
 
 
 def _cluster(utils: list) -> list:
@@ -294,3 +297,14 @@ def test_a_node_list_with_a_repeated_id_is_refused() -> None:
             metric(nodes)
     with pytest.raises(ValidationError, match="duplicate node id"):
         build_report(_empty_outcome(), nodes)
+
+
+def test_total_power_is_a_float_with_no_nodes() -> None:
+    # sum() of no draws is the int 0 unless it starts from 0.0.
+    _, batch = run_batch([], [], "max-util", SchedulerConfig())
+    workload = [request("r1", 10.0, arrival_s=0.0, duration_s=5.0)]
+    adaptor = AdaptorPolicy(scale_down_grace_s=0.0)
+    timeline = run_timeline(workload, [node("n1")], "max-util", SchedulerConfig(), adaptor, 60.0)
+    assert batch.node_count == 0 and timeline.report.node_count == 0
+    for report in (batch, timeline.report):
+        assert type(report.total_power_w) is float and report.total_power_w == 0.0

@@ -26,6 +26,7 @@ from gptsched import (
     estimate_demand,
     load_cluster_config,
     load_trace,
+    mean_compute_utilization,
     release_from_node,
     run_batch,
     run_timeline,
@@ -53,6 +54,10 @@ def _holding(node_id: str, request_id: str) -> Node:
     return Node(node_id, template(), utilization=PCT, allocated=frozenset({request_id}))
 
 
+def _held_twice() -> list:
+    return [_holding("node-1", "r1"), _holding("node-2", "r1")]
+
+
 @pytest.mark.parametrize(
     "refused, error, message",
     [
@@ -74,11 +79,16 @@ def _holding(node_id: str, request_id: str) -> Node:
         (lambda: _release_from_state("node-1", "r1"), NotAllocatedError, "request 'r1' not allocated on 'node-1'"),
         (lambda: release_from_node(node("node-1"), "r1", PCT),
          NotAllocatedError, "request 'r1' not allocated on 'node-1'"),
+        (lambda: ClusterState(_held_twice()),
+         ValidationError, "request 'r1' is allocated on both 'node-1' and 'node-2'"),
+        (lambda: mean_compute_utilization(_held_twice()),
+         ValidationError, "request 'r1' is allocated on both 'node-1' and 'node-2'"),
     ],
     ids=[
         "config-boolean", "size-choices-not-a-list", "size-choice-not-a-list", "size-choice-not-a-pair",
         "zero-model-size", "negative-model-size", "trace-line-not-an-object", "empty-node-id",
         "state-release-not-held", "node-release-not-held",
+        "state-request-on-two-nodes", "metrics-request-on-two-nodes",
     ],
 )
 def test_refusal_text(refused, error, message) -> None:
