@@ -18,7 +18,6 @@ from .metrics import (
 from .model import (
     TOLERANCE,
     ConfigError,
-    DuplicateAllocationError,
     GptRequest,
     GptSchedError,
     InvalidCapacityError,
@@ -30,16 +29,12 @@ from .model import (
     Threshold,
     UtilizationVector,
     ValidationError,
-    allocate_to_node,
-    demand_percentages,
     release_from_node,
-    utilization_gap,
 )
 from .power import (
     DEFAULT_POWER_POLICY,
     PowerMode,
     PowerPolicy,
-    estimate_power_delta,
     node_power,
     total_power,
 )
@@ -55,7 +50,6 @@ from .scheduling import (
     DecisionRecord,
     NodeIdSequence,
     SchedulerConfig,
-    fits,
     schedule_load_balance,
     schedule_max_util,
     schedule_power_efficient,

@@ -12,9 +12,10 @@ needed, and shared safely. Each checks its values when built, coercing a
 value or wording the refusal; GptRequest first tries the common case
 (every number already an exact float, or an exact int for token counts,
 in range: one type test and one chained comparison per field). The
-schedulers and the timeline mutate one scheduling.ClusterState in place;
-``allocate_to_node`` and ``release_from_node`` return new Node values and
-serve the public API and the naive reference the tests compare against.
+schedulers and the timeline mutate one scheduling.ClusterState in place.
+``release_from_node`` returns a new Node value; the naive reference the
+tests compare against releases with it, and the benchmark's tracer times
+it through the simulator's re-export.
 The types built per request (the two vectors, GptRequest, DecisionRecord,
 AllocationOutcome and SimEvent) are slotted. ``trusted(cls)`` builds one
 without its checks, only where the values are known to pass them; each
@@ -25,7 +26,7 @@ from __future__ import annotations
 
 import math
 from enum import Enum
-from typing import Any, Callable, Dict, FrozenSet, Iterable, Mapping, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, FrozenSet, Iterable, Optional, Sequence, Tuple
 
 # Absolute slack used by every feasibility comparison in the package.
 TOLERANCE = 1e-9
@@ -46,10 +47,6 @@ class InvalidCapacityError(ValidationError):
 
 class ConfigError(GptSchedError):
     """A configuration document or selector is invalid."""
-
-
-class DuplicateAllocationError(GptSchedError):
-    """A request id is already allocated on the target node."""
 
 
 class NotAllocatedError(GptSchedError):
@@ -369,38 +366,6 @@ class Threshold:
         object.__setattr__(self, "value", value)
 
 
-def demand_percentages(demand: ResourceVector, capacity: ResourceVector) -> UtilizationVector:
-    """Demand expressed as a fraction of capacity per axis.
-
-    Components may exceed 1; the caller decides feasibility. Raises
-    InvalidCapacityError if any capacity axis is zero or negative.
-    """
-
-    if capacity.compute <= 0.0 or capacity.memory_gib <= 0.0 or capacity.storage_gib <= 0.0:
-        raise InvalidCapacityError(f"capacity axes must be > 0, got {capacity.as_tuple()}")
-    return UtilizationVector(
-        compute=demand.compute / capacity.compute,
-        memory=demand.memory_gib / capacity.memory_gib,
-        storage=demand.storage_gib / capacity.storage_gib,
-    )
-
-
-def allocate_to_node(node: Node, request_id: str, pct: UtilizationVector) -> Node:
-    """Return a copy of node with request_id allocated at the given percentages.
-
-    Raises DuplicateAllocationError if the id is already on the node.
-    """
-
-    if request_id in node.allocated:
-        raise DuplicateAllocationError(f"request {echo(request_id)} already allocated on {echo(node.id)}")
-    util = UtilizationVector(
-        compute=node.utilization.compute + pct.compute,
-        memory=node.utilization.memory + pct.memory,
-        storage=node.utilization.storage + pct.storage,
-    )
-    return replace(node, utilization=util, allocated=node.allocated | {request_id})
-
-
 def release_from_node(node: Node, request_id: str, pct: UtilizationVector) -> Node:
     """Return a copy of node with request_id released.
 
@@ -421,24 +386,6 @@ def release_from_node(node: Node, request_id: str, pct: UtilizationVector) -> No
             storage=max(0.0, node.utilization.storage - pct.storage),
         )
     return replace(node, utilization=util, allocated=remaining)
-
-
-def utilization_gap(node: Node, pct_by_request: Mapping[str, UtilizationVector]) -> float:
-    """Largest per-axis gap between node.utilization and the sum of its parts.
-
-    pct_by_request must cover every id in node.allocated. Used to check the
-    bookkeeping invariant that utilization equals the sum of allocated
-    percentages within float tolerance.
-    """
-
-    sums = [0.0, 0.0, 0.0]
-    for request_id in node.allocated:
-        pct = pct_by_request[request_id]
-        sums[0] += pct.compute
-        sums[1] += pct.memory
-        sums[2] += pct.storage
-    recorded = node.utilization.as_tuple()
-    return max(abs(recorded[i] - sums[i]) for i in range(3))
 
 
 # The most characters of an outside value that a refusal repeats.

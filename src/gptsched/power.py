@@ -1,9 +1,10 @@
-"""Linear node power model and allocation power deltas.
+"""Linear node power model and the policy that prices allocations.
 
 A powered-on node draws p_idle_w plus a term linear in compute utilization,
 reaching p_max_w at 100%. A node with nothing allocated can be treated as
 powered off (0 W); that behavior and the meaning of a power delta are
-selected by PowerPolicy.
+selected by PowerPolicy. scheduling.ClusterState and the power scheduler
+apply both to their per-node arrays.
 """
 
 from __future__ import annotations
@@ -11,11 +12,11 @@ from __future__ import annotations
 from enum import Enum
 from typing import Iterable
 
-from .model import Node, UtilizationVector, record
+from .model import Node, record
 
 
 class PowerMode(str, Enum):
-    """How estimate_power_delta prices an allocation.
+    """How the power scheduler prices an allocation on a candidate node.
 
     INCREMENTAL: power after the allocation minus power before it. Turning a
     node on pays its idle cost; adding to a hot node pays only the slope.
@@ -48,24 +49,6 @@ def node_power(node: Node, policy: PowerPolicy = DEFAULT_POWER_POLICY) -> float:
         return 0.0
     template = node.template
     return template.p_idle_w + (template.p_max_w - template.p_idle_w) * node.utilization.compute
-
-
-def estimate_power_delta(
-    node: Node, pct: UtilizationVector, policy: PowerPolicy = DEFAULT_POWER_POLICY
-) -> float:
-    """Power cost of placing an allocation with the given percentages on node.
-
-    INCREMENTAL mode returns power-after minus power-before, so waking an
-    empty node is penalized by its idle draw. ABSOLUTE_AFTER returns the
-    node's absolute draw after the allocation. Feasibility is not checked.
-    """
-
-    template = node.template
-    slope = template.p_max_w - template.p_idle_w
-    after = template.p_idle_w + slope * (node.utilization.compute + pct.compute)
-    if policy.mode is PowerMode.ABSOLUTE_AFTER:
-        return after
-    return after - node_power(node, policy)
 
 
 def total_power(nodes: Iterable[Node], policy: PowerPolicy = DEFAULT_POWER_POLICY) -> float:

@@ -221,18 +221,6 @@ class NodeIdSequence:
                 return candidate
 
 
-def fits(node: Node, pct: UtilizationVector, threshold: Threshold) -> bool:
-    """True when adding pct keeps every axis within threshold + TOLERANCE."""
-
-    limit = threshold.value + TOLERANCE
-    util = node.utilization
-    return (
-        util.compute + pct.compute <= limit
-        and util.memory + pct.memory <= limit
-        and util.storage + pct.storage <= limit
-    )
-
-
 class ClusterState(Sequence[Node]):
     """The one mutable cluster state, as parallel per-node arrays.
 

@@ -35,8 +35,8 @@ from typing import Callable, Dict, Iterator, List, NamedTuple, Optional, Sequenc
 
 from .metrics import Report, build_report
 from .model import ConfigError, GptRequest, Node, TupleView, ValidationError, echo, record, trusted, validate_unique_ids
-from .model import release_from_node  # noqa: F401  re-exported; the timeline uses ClusterState
-from .power import node_power, total_power  # noqa: F401  re-exported, likewise
+from .model import release_from_node  # noqa: F401  a perfbench/tracer.py seam (test_benchmark_tracer_seams_exist)
+from .power import node_power, total_power  # noqa: F401  perfbench/tracer.py seams, likewise
 from .profiler import DEFAULT_COEFFICIENTS, ProfilerCoefficients
 from .scheduling import (
     ALGORITHMS,
@@ -67,6 +67,9 @@ _DEPARTURE, _ARRIVAL, _SNAPSHOT, _SCALE_CHECK = range(4)
 # A run whose snapshot grid could hold more points than this is refused
 # before it starts: every point writes one row per live node.
 MAX_SNAPSHOT_POINTS = 100_000
+
+# The largest finite float: a grace above it cannot be added to a time.
+_LARGEST_FLOAT = math.nextafter(math.inf, 0.0)
 
 
 @record(slots=True)
@@ -102,10 +105,15 @@ class AdaptorPolicy:
     retain_min_nodes: int = 0
 
     def __post_init__(self) -> None:
-        if not self.scale_down_grace_s >= 0.0:
-            raise ValidationError(f"scale_down_grace_s must be >= 0, got {self.scale_down_grace_s!r}")
-        if not isinstance(self.retain_min_nodes, int) or self.retain_min_nodes < 0:
-            raise ValidationError(f"retain_min_nodes must be an int >= 0, got {self.retain_min_nodes!r}")
+        grace, floor = self.scale_down_grace_s, self.retain_min_nodes
+        if isinstance(grace, bool) or not isinstance(grace, (int, float)):
+            raise ValidationError(f"scale_down_grace_s must be a number, got {echo(grace)}")
+        if grace < 0.0:
+            raise ValidationError(f"scale_down_grace_s must be >= 0, got {grace!r}")
+        if not grace <= _LARGEST_FLOAT:  # NaN, inf, or an int too large for a float
+            raise ValidationError(f"scale_down_grace_s must be finite, got {echo(grace)}")
+        if isinstance(floor, bool) or not isinstance(floor, int) or floor < 0:
+            raise ValidationError(f"retain_min_nodes must be an int >= 0, got {echo(floor)}")
 
 
 class SnapshotRow(NamedTuple):

@@ -5,7 +5,6 @@ from __future__ import annotations
 import pytest
 
 from gptsched import (
-    DuplicateAllocationError,
     GptRequest,
     InvalidCapacityError,
     Node,
@@ -15,13 +14,10 @@ from gptsched import (
     Threshold,
     UtilizationVector,
     ValidationError,
-    allocate_to_node,
-    demand_percentages,
     release_from_node,
-    utilization_gap,
 )
 
-from helpers import node, template
+from helpers import template
 
 
 def test_resource_vector_rejects_negative_and_non_finite() -> None:
@@ -69,33 +65,9 @@ def test_request_validation() -> None:
         GptRequest(id="r1", task_kind=TaskKind.CHAT, model_params_b=7.0, arrival_s=-5.0)
 
 
-def test_demand_percentages_basic_and_oversize() -> None:
-    capacity = ResourceVector(compute=100.0, memory_gib=50.0, storage_gib=200.0)
-    pct = demand_percentages(ResourceVector(20.0, 25.0, 20.0), capacity)
-    assert pct.as_tuple() == (0.2, 0.5, 0.1)
-    big = demand_percentages(ResourceVector(150.0, 0.0, 0.0), capacity)
-    assert big.compute == 1.5
-
-
-def test_demand_percentages_zero_capacity_rejected() -> None:
-    # ResourceVector permits zero axes (it also carries demands), so a
-    # zero-capacity vector must be caught at division time.
-    with pytest.raises(InvalidCapacityError):
-        demand_percentages(
-            ResourceVector(1.0, 1.0, 1.0), ResourceVector(compute=0.0, memory_gib=1.0, storage_gib=1.0)
-        )
-
-
 def test_allocate_and_release_bookkeeping() -> None:
-    start = node("n1")
     pct = UtilizationVector(0.3, 0.2, 0.1)
-    loaded = allocate_to_node(start, "r1", pct)
-    assert loaded.allocated == frozenset({"r1"})
-    assert loaded.utilization.as_tuple() == (0.3, 0.2, 0.1)
-    assert start.utilization.as_tuple() == (0.0, 0.0, 0.0)  # original untouched
-
-    with pytest.raises(DuplicateAllocationError):
-        allocate_to_node(loaded, "r1", pct)
+    loaded = Node("n1", template(), utilization=pct, allocated=frozenset({"r1"}))
 
     released = release_from_node(loaded, "r1", pct)
     assert released.is_empty
@@ -107,23 +79,11 @@ def test_allocate_and_release_bookkeeping() -> None:
 
 def test_release_of_sole_request_snaps_to_exact_zero() -> None:
     # 0.1 + 0.2 - 0.30000000000000004 style residue must not survive.
-    n = node("n1")
     a = UtilizationVector(0.1, 0.1, 0.1)
     b = UtilizationVector(0.2, 0.2, 0.2)
-    n = allocate_to_node(n, "r1", a)
-    n = allocate_to_node(n, "r2", b)
+    n = Node("n1", template(), utilization=UtilizationVector(0.1 + 0.2, 0.1 + 0.2, 0.1 + 0.2),
+             allocated=frozenset({"r1", "r2"}))
     n = release_from_node(n, "r1", a)
     n = release_from_node(n, "r2", b)
     assert n.utilization.as_tuple() == (0.0, 0.0, 0.0)
     assert n.is_empty
-
-
-def test_utilization_gap_tracks_sum_of_parts() -> None:
-    n = node("n1")
-    parts = {
-        "r1": UtilizationVector(0.25, 0.1, 0.0),
-        "r2": UtilizationVector(0.5, 0.2, 0.3),
-    }
-    for rid, pct in parts.items():
-        n = allocate_to_node(n, rid, pct)
-    assert utilization_gap(n, parts) <= 1e-9

@@ -1,19 +1,20 @@
-"""Linear power model, on/off behavior and delta modes."""
+"""Linear power model, on/off behavior, and the power scheduler's delta modes."""
 
 from __future__ import annotations
 
 import pytest
 
 from gptsched import (
+    DEFAULT_POWER_POLICY,
     PowerMode,
     PowerPolicy,
-    UtilizationVector,
-    estimate_power_delta,
+    SchedulerConfig,
     node_power,
+    schedule_power_efficient,
     total_power,
 )
 
-from helpers import node, template
+from helpers import node, request, template
 
 
 def test_linear_interpolation_between_idle_and_max() -> None:
@@ -34,15 +35,21 @@ def test_full_utilization_draws_p_max() -> None:
     assert node_power(n) == pytest.approx(400.0)
 
 
+def _power_estimates(nodes, demand, policy: PowerPolicy = DEFAULT_POWER_POLICY) -> dict:
+    """The power scheduler's price of one request on each node, by node id."""
+
+    outcome = schedule_power_efficient([request("r1", *demand)], nodes, SchedulerConfig(power_policy=policy))
+    return dict(outcome.trace[0].power_estimates)
+
+
 def test_incremental_delta_charges_wakeup() -> None:
     # Waking an off node: 100 + 0.2*100 - 0 = 120 W.
+    # Adding to a warm node pays only the slope: 0.2 * 100 = 20 W.
     tpl = template(p_idle=100.0, p_max=200.0)
     off = node("n1", tpl)
-    pct = UtilizationVector(0.2, 0.1, 0.0)
-    assert estimate_power_delta(off, pct) == pytest.approx(120.0)
-    # Adding to a warm node pays only the slope: 0.2 * 100 = 20 W.
     warm = node("n2", tpl, util=(0.5, 0.0, 0.0))
-    assert estimate_power_delta(warm, pct) == pytest.approx(20.0)
+    estimates = _power_estimates([off, warm], (20.0, 10.0, 0.0))
+    assert estimates == {"n1": pytest.approx(120.0), "n2": pytest.approx(20.0)}
 
 
 def test_absolute_after_mode_reports_post_allocation_draw() -> None:
@@ -50,14 +57,13 @@ def test_absolute_after_mode_reports_post_allocation_draw() -> None:
     policy = PowerPolicy(mode=PowerMode.ABSOLUTE_AFTER)
     off = node("n1", tpl)
     warm = node("n2", tpl, util=(0.5, 0.0, 0.0))
-    pct = UtilizationVector(0.2, 0.0, 0.0)
-    assert estimate_power_delta(off, pct, policy) == pytest.approx(120.0)
-    assert estimate_power_delta(warm, pct, policy) == pytest.approx(170.0)
+    estimates = _power_estimates([off, warm], (20.0, 0.0, 0.0), policy)
+    assert estimates == {"n1": pytest.approx(120.0), "n2": pytest.approx(170.0)}
 
 
 def test_zero_demand_delta_is_zero_on_warm_node() -> None:
     warm = node("n1", template(), util=(0.4, 0.0, 0.0))
-    assert estimate_power_delta(warm, UtilizationVector(0.0, 0.0, 0.0)) == pytest.approx(0.0)
+    assert _power_estimates([warm], (0.0, 0.0, 0.0)) == {"n1": pytest.approx(0.0)}
 
 
 def test_total_power_sums_nodes() -> None:

@@ -22,7 +22,6 @@ from gptsched import (
     TaskKind,
     UtilizationVector,
     ValidationError,
-    allocate_to_node,
     estimate_demand,
     load_cluster_config,
     load_trace,
@@ -30,13 +29,14 @@ from gptsched import (
     release_from_node,
     run_batch,
     run_timeline,
+    schedule_max_util,
 )
-from gptsched.model import DuplicateAllocationError, NotAllocatedError
+from gptsched.model import NotAllocatedError
 from gptsched.profiler import UnprofilableRequestError
 from gptsched.scheduling import ClusterState
 from gptsched.workload import TraceParseError
 
-from helpers import node, template
+from helpers import node, request, template
 
 HUGE = "x" * 1_000_000
 PCT = UtilizationVector(0.1, 0.1, 0.1)
@@ -52,6 +52,10 @@ def _release_from_state(node_id: str, request_id: str) -> None:
 
 def _holding(node_id: str, request_id: str) -> Node:
     return Node(node_id, template(), utilization=PCT, allocated=frozenset({request_id}))
+
+
+def _schedule_held(request_id: str) -> None:
+    schedule_max_util([request(request_id, 1.0)], [_holding("node-1", request_id)], SchedulerConfig())
 
 
 def _held_twice() -> list:
@@ -83,12 +87,24 @@ def _held_twice() -> list:
          ValidationError, "request 'r1' is allocated on both 'node-1' and 'node-2'"),
         (lambda: mean_compute_utilization(_held_twice()),
          ValidationError, "request 'r1' is allocated on both 'node-1' and 'node-2'"),
+        (lambda: _schedule_held("r1"), ValidationError, "request 'r1' is already allocated on a node"),
+        (lambda: AdaptorPolicy(scale_down_grace_s=-1.0), ValidationError, "scale_down_grace_s must be >= 0, got -1.0"),
+        (lambda: AdaptorPolicy(scale_down_grace_s=float("inf")),
+         ValidationError, "scale_down_grace_s must be finite, got inf"),
+        (lambda: AdaptorPolicy(scale_down_grace_s=float("nan")),
+         ValidationError, "scale_down_grace_s must be finite, got nan"),
+        (lambda: AdaptorPolicy(scale_down_grace_s="300"),
+         ValidationError, "scale_down_grace_s must be a number, got '300'"),
+        (lambda: AdaptorPolicy(retain_min_nodes=-1), ValidationError, "retain_min_nodes must be an int >= 0, got -1"),
+        (lambda: AdaptorPolicy(retain_min_nodes=True),
+         ValidationError, "retain_min_nodes must be an int >= 0, got True"),
     ],
     ids=[
         "config-boolean", "size-choices-not-a-list", "size-choice-not-a-list", "size-choice-not-a-pair",
         "zero-model-size", "negative-model-size", "trace-line-not-an-object", "empty-node-id",
         "state-release-not-held", "node-release-not-held",
-        "state-request-on-two-nodes", "metrics-request-on-two-nodes",
+        "state-request-on-two-nodes", "metrics-request-on-two-nodes", "schedule-request-already-placed",
+        "negative-grace", "infinite-grace", "nan-grace", "str-grace", "negative-node-floor", "bool-node-floor",
     ],
 )
 def test_refusal_text(refused, error, message) -> None:
@@ -102,8 +118,7 @@ _HUGE_REFUSALS = {
         lambda: estimate_demand(GptRequest(id=HUGE, task_kind=TaskKind.QA, model_params_b=0.0)),
         UnprofilableRequestError,
     ),
-    "allocate-request": (lambda: allocate_to_node(_holding("node-1", HUGE), HUGE, PCT), DuplicateAllocationError),
-    "allocate-node": (lambda: allocate_to_node(_holding(HUGE, "r1"), "r1", PCT), DuplicateAllocationError),
+    "schedule-request-already-placed": (lambda: _schedule_held(HUGE), ValidationError),
     "release-request": (lambda: release_from_node(node("node-1"), HUGE, PCT), NotAllocatedError),
     "release-node": (lambda: release_from_node(node(HUGE), "r1", PCT), NotAllocatedError),
     "state-release-request": (lambda: _release_from_state("node-1", HUGE), NotAllocatedError),

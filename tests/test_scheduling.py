@@ -17,10 +17,8 @@ from gptsched import (
     PowerPolicy,
     SchedulerConfig,
     Threshold,
-    UtilizationVector,
     ValidationError,
     default_config,
-    fits,
     generate_synthetic,
     schedule_load_balance,
     schedule_max_util,
@@ -44,10 +42,14 @@ def _config(threshold: float = 0.8, autoscale: bool = False, **kwargs: object) -
 
 
 def test_fits_boundary_and_single_axis_violation() -> None:
-    n = node("n1", template(), util=(0.5, 0.5, 0.5))
-    assert fits(n, UtilizationVector(0.3, 0.3, 0.3), Threshold(0.8))
-    assert not fits(n, UtilizationVector(0.3, 0.3, 0.31), Threshold(0.8))
-    assert fits(n, UtilizationVector(0.0, 0.0, 0.0), Threshold(0.8))
+    # A node at 0.5 on every axis under the 0.8 threshold, autoscale off:
+    # a request landing on the threshold on all axes fits, storage alone
+    # over it does not, and a zero demand fits.
+    for demand, chosen in (((30.0, 30.0, 30.0), "n1"), ((30.0, 30.0, 31.0), None), ((0.0, 0.0, 0.0), "n1")):
+        nodes = [node("n1", template(), util=(0.5, 0.5, 0.5))]
+        record = schedule_max_util([request("r1", *demand)], nodes, _config()).trace[0]
+        assert record.chosen_node_id == chosen, demand
+        assert record.reason == (None if chosen else REASON_NO_FEASIBLE_NODE)
 
 
 def test_max_util_prefers_fullest_feasible_node() -> None:
