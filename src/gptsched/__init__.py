@@ -79,6 +79,7 @@ from .workload import (
     TraceParseError,
     generate_synthetic,
     load_trace,
+    read_trace,
     request_from_dict,
     request_to_dict,
     trace_to_string,

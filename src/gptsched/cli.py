@@ -19,7 +19,7 @@ import argparse
 import os
 import sys
 from pathlib import Path
-from typing import List, Optional, Sequence, Tuple
+from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from .config import ExperimentConfig, default_config, load_cluster_config
 from .metrics import Report
@@ -117,8 +117,18 @@ def cmd_gen(args: argparse.Namespace) -> int:
     return 0
 
 
+class _HandedOver(List[GptRequest]):
+    """A loaded trace that gives up each request as it is read: sized like
+    the list, but holding no request that placement has already read."""
+
+    def __iter__(self) -> Iterator[GptRequest]:
+        self.reverse()
+        while self:
+            yield self.pop()
+
+
 def _run_batch(
-    args: argparse.Namespace, config: ExperimentConfig, workload: Sequence[GptRequest], name: str
+    args: argparse.Namespace, config: ExperimentConfig, workload: Iterable[GptRequest], name: str
 ) -> Tuple[AllocationOutcome, Report]:
     state = ClusterState(config.initial_nodes, config.power_policy)
     outcome, report = run_batch(workload, state, name, config.scheduler, coeffs=config.coefficients)
@@ -132,8 +142,7 @@ def _run_batch(
 
 def cmd_schedule(args: argparse.Namespace) -> int:
     config = _load_config(args, record_scans=args.format == "json")
-    workload = load_trace(args.workload)
-    outcome, report = _run_batch(args, config, workload, args.algorithm)
+    outcome, report = _run_batch(args, config, _HandedOver(load_trace(args.workload)), args.algorithm)
     if args.format == "json":
         write_outcome_document(args.algorithm, outcome, report, args.out)
     else:
@@ -144,7 +153,7 @@ def cmd_schedule(args: argparse.Namespace) -> int:
 
 def cmd_simulate(args: argparse.Namespace) -> int:
     config = _load_config(args, record_scans=False)
-    workload = load_trace(args.workload)
+    workload = _HandedOver(load_trace(args.workload))
 
     def note_removal(event: SimEvent, nodes: Sequence[Node]) -> None:
         if event.kind is EventKind.SCALE_CHECK:

@@ -54,8 +54,12 @@ class NotAllocatedError(GptSchedError):
 
 
 def _require_finite(name: str, value: float) -> float:
-    if not math.isfinite(value):
-        raise ValidationError(f"{name} must be finite, got {value!r}")
+    try:
+        finite = math.isfinite(value)
+    except OverflowError:  # an int too large for a float
+        finite = False
+    if not finite:
+        raise ValidationError(f"{name} must be finite, got {echo(value)}")
     return float(value)
 
 
@@ -294,7 +298,7 @@ def plain_request_values(kind: Any, params: Any, prompt: Any, output: Any, arriv
 
     return (
         type(kind) is TaskKind and type(params) is float and 0.0 <= params < _INF
-        and type(prompt) is int and prompt >= 0 and type(output) is int and output >= 0
+        and type(prompt) is int and 0 <= prompt <= 2**53 and type(output) is int and 0 <= output <= 2**53
         and (arrival is None or type(arrival) is float and 0.0 <= arrival < _INF)
         and (duration is None or type(duration) is float and 0.0 < duration < _INF)
         and (deadline is None or type(deadline) is float and 0.0 < deadline < _INF)
@@ -334,7 +338,8 @@ class GptRequest:
         for name in ("prompt_tokens", "output_tokens"):
             value = getattr(self, name)
             if not isinstance(value, int) or isinstance(value, bool) or value < 0:
-                raise ValidationError(f"{name} must be a non-negative int, got {value!r}")
+                raise ValidationError(f"{name} must be a non-negative int, got {echo(value)}")
+            _require_finite(name, value)
         if self.arrival_s is not None:
             object.__setattr__(self, "arrival_s", _require_non_negative("arrival_s", self.arrival_s))
         if self.duration_s is not None:
@@ -396,7 +401,10 @@ def echo(value: object) -> str:
     """repr(value) for a refusal message: at most its first 1,000
     characters, followed by how many were cut."""
 
-    text = repr(value)
+    try:
+        text = repr(value)
+    except ValueError:  # an int past the interpreter's digit limit, or a value holding one
+        return f"<{type(value).__name__} too long to show>"
     if len(text) <= _ECHO_CHARS:
         return text
     return f"{text[:_ECHO_CHARS]}... ({len(text) - _ECHO_CHARS} more characters)"

@@ -62,11 +62,14 @@ def estimate_demand(
         )
     params = request.model_params_b
     total_tokens = request.prompt_tokens + request.output_tokens
-    compute = coeffs.flops_per_param_token * params * total_tokens
-    memory = (
-        coeffs.weight_mem_gib_per_b * params
-        + coeffs.kv_mem_gib_per_ktoken_per_b * params * total_tokens / 1000.0
-    )
+    try:
+        compute = coeffs.flops_per_param_token * params * total_tokens
+        memory = (
+            coeffs.weight_mem_gib_per_b * params
+            + coeffs.kv_mem_gib_per_ktoken_per_b * params * total_tokens / 1000.0
+        )
+    except OverflowError:  # each token count fits a float, their sum does not
+        compute = memory = math.inf
     storage = coeffs.storage_gib_per_b * params
     if plain_amounts(compute, memory, storage):  # else an overflow, which the check refuses
         return _new_vector(compute, memory, storage)

@@ -69,6 +69,7 @@ from typing import Callable, Container, Dict, Iterable, Iterator, List, Optional
 from .model import (
     TOLERANCE,
     GptRequest,
+    GptSchedError,
     Node,
     NodeTemplate,
     NotAllocatedError,
@@ -653,14 +654,14 @@ class _MinPowerDelta:
 
 
 def _schedule(
-    queue: Sequence[GptRequest],
+    queue: Iterable[GptRequest],
     nodes: Union[List[Node], ClusterState],
     config: SchedulerConfig,
     coeffs: ProfilerCoefficients,
     id_sequence: Optional[NodeIdSequence],
     make_scan: Callable[[ClusterState, SchedulerConfig, int], Union[_FirstFit, _MinPowerDelta]],
 ) -> AllocationOutcome:
-    """The placement skeleton shared by the three schedulers.
+    """The placement skeleton shared by the three schedulers; it reads the queue once.
 
     A node list is converted to a ClusterState on entry and written back
     once at the end; a ClusterState is placed into directly, and refused
@@ -669,22 +670,31 @@ def _schedule(
 
     state = nodes if isinstance(nodes, ClusterState) else ClusterState(nodes, config.power_policy)
     state.check_policy(config.power_policy)
-    if len(queue) > 1:  # one request has no id to repeat and no order to sort
-        validate_unique_ids((r.id for r in queue), "request")
+    # Ids and demands, not requests; the first profiling refusal waits for the whole queue and its id checks.
+    placements: List[Tuple[str, Optional[ResourceVector]]] = []
+    refusal: Optional[GptSchedError] = None
     for request in queue:
-        if request.id in state.node_of:
-            raise ValidationError(f"request {echo(request.id)} is already allocated on a node")
-    # Requests with their demands, by descending compute demand, ties by id.
-    placements = [(r, estimate_demand(r, coeffs)) for r in queue]
+        try:
+            placements.append((request.id, estimate_demand(request, coeffs)))
+        except GptSchedError as exc:
+            placements.append((request.id, None))
+            refusal = refusal or exc
+    if len(placements) > 1:  # one request has no id to repeat and no order to sort
+        validate_unique_ids((request_id for request_id, _ in placements), "request")
+    for request_id, _ in placements:
+        if request_id in state.node_of:
+            raise ValidationError(f"request {echo(request_id)} is already allocated on a node")
+    if refusal is not None:
+        raise refusal
     if len(placements) > 1:
-        placements.sort(key=lambda p: (-p[1].compute, p[0].id))
+        placements.sort(key=lambda p: (-p[1].compute, p[0]))  # by descending compute demand, ties by id
     seq = id_sequence if id_sequence is not None else NodeIdSequence()
     scan = make_scan(state, config, len(placements))
     template = config.autoscale_template
 
     trace: List[DecisionRecord] = []
 
-    for request, demand in placements:
+    for request_id, demand in placements:
         dc, dm, ds = demand.compute, demand.memory_gib, demand.storage_gib
         chosen, scanned, estimates = scan.pick(dc, dm, ds)
         fresh = False
@@ -696,11 +706,11 @@ def _schedule(
                 fresh = True
         if chosen < 0:
             reason = REASON_NO_FEASIBLE_NODE if template is None else REASON_INFEASIBLE_ON_ANY_NODE
-            trace.append(_new_record(request.id, demand, scanned, None, None, False, reason, ()))
+            trace.append(_new_record(request_id, demand, scanned, None, None, False, reason, ()))
             continue
-        pct = state.allocate(chosen, request.id, demand)
+        pct = state.allocate(chosen, request_id, demand)
         node_id = state.ids[chosen]
-        trace.append(_new_record(request.id, demand, scanned, node_id, pct, fresh, None, estimates))
+        trace.append(_new_record(request_id, demand, scanned, node_id, pct, fresh, None, estimates))
 
     if state is not nodes:
         nodes[:] = state
@@ -708,7 +718,7 @@ def _schedule(
 
 
 def schedule_max_util(
-    queue: Sequence[GptRequest],
+    queue: Iterable[GptRequest],
     nodes: Union[List[Node], ClusterState],
     config: SchedulerConfig,
     *,
@@ -728,7 +738,7 @@ def schedule_max_util(
 
 
 def schedule_load_balance(
-    queue: Sequence[GptRequest],
+    queue: Iterable[GptRequest],
     nodes: Union[List[Node], ClusterState],
     config: SchedulerConfig,
     *,
@@ -745,7 +755,7 @@ def schedule_load_balance(
 
 
 def schedule_power_efficient(
-    queue: Sequence[GptRequest],
+    queue: Iterable[GptRequest],
     nodes: Union[List[Node], ClusterState],
     config: SchedulerConfig,
     *,

@@ -4,20 +4,21 @@ run_batch feeds a whole workload to one scheduler and reports on the
 resulting cluster. run_timeline is the timeline loop itself: one function
 over one scheduling.ClusterState. Each arrival schedules that single
 request into the state, each departure releases its percentages in place
-(reading its node and percentages from the request's decision record),
-and the resource adaptor deletes nodes that stay empty past a grace
-period. Arrivals are merged from the workload sorted once, so the event
-heap holds only departures and armed scale checks. Events, power steps and
-snapshot rows (the state's per-node arrays on a fixed grid) are kept as
-parallel lists, read through ColumnViews that build each item as it is
-read. Each request's deadline miss is counted at its arrival, where its
-fate is known. Total power is recorded as piecewise-constant steps between
-events; once the loop ends, their integral up to the horizon is reported
-as energy_wh. The final report reads the state's columns: Node and SimEvent
-values are built only for on_event, which gets the state itself as a live
-read-only Sequence[Node]. The run's outcome is derived from its decision
-trace. Neither function prints or logs: what a run did is in its result,
-and each node removal is a SCALE_CHECK event, passed to on_event as it happens.
+(reading its node and percentages from the request's decision record), and
+the resource adaptor deletes nodes that stay empty past a grace period.
+Arrivals are merged from the workload sorted once, so the event heap holds
+only departures and armed scale checks, and each request is dropped once
+it has arrived. Events, power steps and snapshot rows (the state's
+per-node arrays on a fixed grid) are kept as parallel lists, read through
+ColumnViews that build each item as it is read. Each request's deadline
+miss is counted at its arrival, where its fate is known. Total power is
+recorded as piecewise-constant steps between events; once the loop ends,
+their integral up to the horizon is reported as energy_wh. The final
+report reads the state's columns: Node and SimEvent values are built only
+for on_event, which gets the state itself as a live read-only
+Sequence[Node]. The run's outcome is derived from its decision trace.
+Neither function prints or logs: what a run did is in its result, and each
+node removal is a SCALE_CHECK event, passed to on_event as it happens.
 
 Event ordering at equal times is departure, then arrival, then snapshot,
 then scale-down check, with ties inside a kind broken by ascending
@@ -31,7 +32,7 @@ from __future__ import annotations
 import heapq
 import math
 from enum import Enum
-from typing import Callable, Dict, Iterator, List, NamedTuple, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, Iterable, Iterator, List, NamedTuple, Optional, Sequence, Tuple, Union
 
 from .metrics import Report, build_report
 from .model import ConfigError, GptRequest, Node, TupleView, ValidationError, echo, record, trusted, validate_unique_ids
@@ -172,14 +173,14 @@ def _scheduler(algorithm_id: str) -> Callable[..., AllocationOutcome]:
 
 
 def run_batch(
-    workload: Sequence[GptRequest],
+    workload: Iterable[GptRequest],
     nodes: Union[List[Node], ClusterState],
     algorithm_id: str,
     config: SchedulerConfig,
     *,
     coeffs: ProfilerCoefficients = DEFAULT_COEFFICIENTS,
 ) -> Tuple[AllocationOutcome, Report]:
-    """Run one scheduler over the whole workload and report.
+    """Run one scheduler over the whole workload, any iterable read once, and report.
 
     nodes, a ClusterState or a node list, is mutated in place to the
     post-run cluster. Raises ConfigError for an unknown algorithm_id.
@@ -190,7 +191,7 @@ def run_batch(
 
 
 def run_timeline(
-    workload: Sequence[GptRequest],
+    workload: Iterable[GptRequest],
     initial_nodes: Sequence[Node],
     algorithm_id: str,
     config: SchedulerConfig,
@@ -200,7 +201,7 @@ def run_timeline(
     coeffs: ProfilerCoefficients = DEFAULT_COEFFICIENTS,
     on_event: Optional[Callable[[SimEvent, Sequence[Node]], None]] = None,
 ) -> TimelineResult:
-    """Replay a timed workload as a discrete-event simulation.
+    """Replay a timed workload, any iterable read once, as a discrete-event simulation.
 
     Every request needs arrival_s and duration_s (validated before the run
     starts); initial nodes must start empty. Arrivals invoke the selected
@@ -212,6 +213,7 @@ def run_timeline(
     with the run's cluster state as a live read-only view of the nodes.
     """
 
+    workload = list(workload)  # first: a streamed trace's refusals come before every other check
     scheduler = _scheduler(algorithm_id)
     try:  # as a float, so every grid time is one whatever number type is passed
         interval = math.nan if isinstance(snapshot_interval_s, str) else float(snapshot_interval_s)
@@ -249,7 +251,8 @@ def run_timeline(
     # Entries (time, rank, request or node id, payload): an arrival's request, a departure's
     # record or a scale check's armed_at (when its node became empty). Ranks differ across
     # kinds, and ids within the others, so only armed_at payloads are ever compared.
-    arrivals = ((r.arrival_s, _ARRIVAL, r.id, r) for r in sorted(workload, key=lambda r: (r.arrival_s, r.id)))
+    workload.sort(key=lambda r: (r.arrival_s, r.id), reverse=True)  # popped off the end, dropped on arrival
+    arrivals = ((r.arrival_s, _ARRIVAL, r.id, r) for r in (workload.pop() for _ in range(len(workload))))
     pending = next(arrivals, None)  # the next arrival's entry, never heaped
     heap: List[Tuple[float, int, str, object]] = []  # departures and scale checks
     trace: List[DecisionRecord] = []

@@ -29,7 +29,7 @@ from __future__ import annotations
 import io
 import json
 import math
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from .model import (
     GptRequest,
@@ -317,7 +317,7 @@ def request_from_dict(obj: Dict[str, object], line_no: int = 0) -> GptRequest:
         type(request_id) is str and request_id and request_id.isascii()
         and len(obj) == 5 + (arrival is not None) + (duration is not None) + (deadline is not None)
         and plain_request_values(kind, params, prompt, output, arrival, duration, deadline)
-        and params > 0.0 and prompt <= 2**53 and output <= 2**53
+        and params > 0.0
     ):
         return _new_request(request_id, kind, params, prompt, output, None, arrival, duration, deadline)
     if not obj.keys() >= _REQUIRED:
@@ -380,16 +380,15 @@ def decode_json(text: str) -> object:
         raise ValueError(str(exc)) from None
 
 
-def load_trace(source: TextStream) -> List[GptRequest]:
-    """Read a JSON Lines trace from a path or text stream.
+def read_trace(source: TextStream) -> Iterator[GptRequest]:
+    """Yield the requests of a JSON Lines trace from a path or text stream.
 
     Blank lines are skipped. Raises TraceParseError (with the 1-based line
-    number) for malformed lines, unknown fields, constraint violations,
-    duplicate request ids and text that is not UTF-8.
+    number) at the first malformed line, unknown field, constraint violation,
+    duplicate request id or text that is not UTF-8, once the lines before it are yielded.
     """
 
     with open_text(source) as stream:
-        requests: List[GptRequest] = []
         seen: Dict[str, int] = {}
         line_no = 0
         try:
@@ -407,14 +406,19 @@ def load_trace(source: TextStream) -> List[GptRequest]:
                     raise TraceParseError(
                         line_no, f"duplicate request id {echo(request.id)} (first seen on line {first})"
                     )
-                requests.append(request)
+                yield request
         except UnicodeDecodeError as exc:
             # Text is decoded a block at a time, from the line after the last
             # one read; count the line endings (LF, CR LF, CR) before the byte.
             head, byte = exc.object[: exc.start], exc.object[exc.start]
             line_no += 1 + head.count(b"\n") + head.count(b"\r") - head.count(b"\r\n")
             raise TraceParseError(line_no, f"not valid UTF-8: byte 0x{byte:02x} ({exc.reason})") from None
-        return requests
+
+
+def load_trace(source: TextStream) -> List[GptRequest]:
+    """The whole trace read_trace yields, as a list."""
+
+    return list(read_trace(source))
 
 
 def write_trace(requests: Sequence[GptRequest], sink: TextStream) -> None:

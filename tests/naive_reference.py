@@ -503,7 +503,11 @@ def ref_canonical_json(value: object) -> str:
 
 
 def _ref_finite(name: str, value: float) -> float:
-    if not math.isfinite(value):
+    try:
+        finite = math.isfinite(value)
+    except OverflowError:  # an int too large for a float
+        finite = False
+    if not finite:
         raise ValidationError(f"{name} must be finite, got {value!r}")
     return float(value)
 
@@ -545,6 +549,7 @@ def ref_request_fields(
     for name, value in (("prompt_tokens", prompt_tokens), ("output_tokens", output_tokens)):
         if not isinstance(value, int) or isinstance(value, bool) or value < 0:
             raise ValidationError(f"{name} must be a non-negative int, got {value!r}")
+        _ref_finite(name, value)
         fields[name] = value
     fields["arrival_s"] = None if arrival_s is None else _ref_non_negative("arrival_s", arrival_s)
     for name, value in (("duration_s", duration_s), ("deadline_s", deadline_s)):

@@ -7,8 +7,10 @@ characters of message.
 
 from __future__ import annotations
 
+import contextlib
 import io
 import json
+from fractions import Fraction
 
 import pytest
 
@@ -31,6 +33,7 @@ from gptsched import (
     run_timeline,
     schedule_max_util,
 )
+from gptsched.cli import main
 from gptsched.model import NotAllocatedError
 from gptsched.profiler import UnprofilableRequestError
 from gptsched.scheduling import ClusterState
@@ -144,3 +147,45 @@ def test_a_huge_refused_value_is_echoed_in_bounded_length(case) -> None:
     message = str(caught.value)
     assert "... (999002 more characters)" in message
     assert len(message) < 1_150  # a 1,028-character echo and the message's own text
+
+
+def _profiled(**tokens: int) -> GptRequest:
+    return GptRequest(id="r1", task_kind=TaskKind.QA, model_params_b=7.0, **tokens)
+
+
+@pytest.mark.parametrize(
+    "refused, message",
+    [
+        (lambda: _profiled(prompt_tokens=10**400), f"prompt_tokens must be finite, got {10**400}"),
+        (lambda: _profiled(output_tokens=2**1024), f"output_tokens must be finite, got {2**1024}"),
+        (lambda: GptRequest(id="r1", task_kind=TaskKind.QA, model_params_b=10**5000),
+         "model_params_b must be finite, got <int too long to show>"),
+        (lambda: GptRequest(id="r1", task_kind=TaskKind.QA, model_params_b=7.0, arrival_s=10**400),
+         f"arrival_s must be finite, got {10**400}"),
+        (lambda: _profiled(prompt_tokens=-(10**5000)),
+         "prompt_tokens must be a non-negative int, got <int too long to show>"),
+        (lambda: estimate_demand(_profiled(prompt_tokens=2**1023, output_tokens=2**1023)),
+         "compute must be finite, got inf"),
+        (lambda: AdaptorPolicy(scale_down_grace_s=10**5000),
+         "scale_down_grace_s must be finite, got <int too long to show>"),
+        (lambda: GptRequest(id="r1", task_kind=TaskKind.QA, model_params_b=Fraction(10**5000)),
+         "model_params_b must be finite, got <Fraction too long to show>"),
+    ],
+    ids=["prompt-tokens", "output-tokens", "model-size", "arrival", "negative-huge-tokens", "token-sum",
+         "huge-int-grace", "huge-fraction-model-size"],
+)
+def test_a_number_too_large_for_a_float_is_refused_by_name(refused, message) -> None:
+    with pytest.raises(ValidationError) as caught:
+        refused()
+    assert str(caught.value) == message
+
+
+def test_a_trace_whose_token_sum_no_float_holds_is_refused(tmp_path) -> None:
+    # Each count fits a float; the profiler's sum of the two does not.
+    trace = tmp_path / "trace.jsonl"
+    trace.write_text(json.dumps({"id": "r1", "task_kind": "qa", "model_params_b": 7.0,
+                                 "prompt_tokens": 2**1023, "output_tokens": 2**1023}) + "\n")
+    stderr = io.StringIO()
+    with contextlib.redirect_stderr(stderr):
+        code = main(["schedule", "--workload", str(trace), "--algorithm", "max-util", "--out", str(tmp_path / "o")])
+    assert (code, stderr.getvalue()) == (2, "gptsched: compute must be finite, got inf\n")
